@@ -13,14 +13,13 @@ evaluated exactly from Gaussian phase-space integrals.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
 
 from . import gaussian as gs
-from .numerics import OptimizerConfig, bisect_root, golden_min, minimize_bounded
+from .numerics import OptimizerConfig, golden_min, maximize_scalar, minimize_bounded
 from .qkd import ChannelParams, KgrResult, holevo_from_cm
 
 __all__ = [
@@ -193,8 +192,9 @@ def _optimize_v_gain(parts, link, beta, v, gain):
 
     The gain axis is parametrized as a fraction of the admissible
     interval [1, max(G_cap(V), 1)]; pinning ``gain`` reduces to a 1-D
-    search over the modulation (same machinery, so ratios of optimized
-    rates are artifact-free).
+    search over the modulation.  That search's +-0.35 log-V bracket can
+    carry it past V - 1 = 150, where the 2-D search stops, so the G = 1
+    fallback may compare an out-of-box point against an in-box optimum.
     """
     def admissible_gain(vv, frac):
         return 1.0 + (max(gain_cap(link, vv), 1.0) - 1.0) * frac
@@ -428,10 +428,6 @@ def _mul_gaussian(terms, idx, coeff, scale):
     return out
 
 
-def _charfn_value(terms):
-    return float(np.real(sum(t[0] for t in terms)))
-
-
 def _charfn_cm(terms):
     """Covariance matrix (two modes) of an unnormalized char function."""
     p0 = sum(t[0] for t in terms)
@@ -592,30 +588,27 @@ def nla_kgr(kind, channel: ChannelParams, beta, gain=None, eta=1.0,
         chi_be = holevo_from_cm(cm)
         return i_ab, chi_be, p_succ
 
-    def neg_k(vv, gg):
+    def key_rate(vv, gg):
         res = parts(vv, gg)
         if res is None:
-            return 1.0
+            return -1.0
         i_ab, chi_be, p_succ = res
-        return -p_succ * (beta * i_ab - chi_be)
+        return p_succ * (beta * i_ab - chi_be)
 
     g_hi = 2.0 + 4.0 / math.sqrt(t)
     if gain is None and v is None:
         cfg = OptimizerConfig(grid_points=17, xtol=1e-6, ftol=1e-12)
         box = [(math.log(0.02), math.log(40.0)), (0.0, math.log(g_hi))]
         x, _ = minimize_bounded(
-            lambda u: neg_k(1.0 + math.exp(u[0]), math.exp(u[1])), box, cfg
+            lambda u: -key_rate(1.0 + math.exp(u[0]), math.exp(u[1])), box, cfg
         )
         v = 1.0 + math.exp(x[0])
         gain = math.exp(x[1])
     elif v is None:
-        def obj(u):
-            return neg_k(1.0 + math.exp(u), gain)
-
-        grid = np.linspace(math.log(0.02), math.log(40.0), 41)
-        u0 = grid[np.argmin([obj(u) for u in grid])]
-        u_opt, _ = golden_min(obj, u0 - 0.5, u0 + 0.5, tol=1e-7)
-        v = 1.0 + math.exp(u_opt)
+        w_opt, _ = maximize_scalar(
+            lambda w: key_rate(1.0 + w, gain), (0.02, 40.0), 41, 1e-7
+        )
+        v = 1.0 + w_opt
     res = parts(v, gain)
     if res is None:
         return KgrResult(

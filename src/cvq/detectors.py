@@ -165,13 +165,6 @@ def hl_pmf(alpha_sig, z_lo, spec: PnrSpec, phi=0.0) -> ClickPmf:
     return ClickPmf(np.arange(-m, m + 1), full)
 
 
-def _poisson_pdf_cont(n, mu):
-    """Poisson weight continued to real n via the Gamma function."""
-    if mu == 0.0:
-        return np.where(np.asarray(n) == 0.0, 1.0, 0.0)
-    return np.exp(-mu + n * np.log(mu) - special.gammaln(n + 1.0))
-
-
 def map_threshold(kind, *, alpha2=None, nu=None, xi=None, resolution=None,
                   sigma=None, tau=1.0, pmf0=None, pmf1=None):
     """MAP decision threshold n_th for displacement-PNR receivers.

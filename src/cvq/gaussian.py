@@ -609,6 +609,20 @@ def _fock_batch(cm, fms, cutoffs):
     return (rho + np.swapaxes(rho, 1, 2).conj()) / 2.0
 
 
+def _fock_expansion(state, cutoff):
+    """:func:`fock_density_matrix` without the truncation warning."""
+    n = state.n_modes
+    if n not in (1, 2):
+        raise ValueError("Fock expansion implemented for 1 or 2 modes")
+    if np.isscalar(cutoff):
+        cutoffs = (int(cutoff),) * n
+    else:
+        cutoffs = tuple(int(c) for c in cutoff)
+    rho = _fock_batch(state.cm, state.fm[None, :], cutoffs)[0]
+    tail = 1.0 - float(np.real(np.trace(rho)))
+    return FockOperator(rho, cutoffs, tail_mass=tail)
+
+
 def fock_density_matrix(state, cutoff):
     """Photon-number expansion of a 1- or 2-mode Gaussian state.
 
@@ -619,33 +633,27 @@ def fock_density_matrix(state, cutoff):
     1 - trace is reported as ``tail_mass``; a large defect produces a
     PrecisionWarning, never an exception.
     """
-    n = state.n_modes
-    if n not in (1, 2):
-        raise ValueError("Fock expansion implemented for 1 or 2 modes")
-    if np.isscalar(cutoff):
-        cutoffs = (int(cutoff),) * n
-    else:
-        cutoffs = tuple(int(c) for c in cutoff)
-    rho = _fock_batch(state.cm, state.fm[None, :], cutoffs)[0]
-    tail = 1.0 - float(np.real(np.trace(rho)))
-    if tail > 1e-6:
+    op = _fock_expansion(state, cutoff)
+    if op.tail_mass > 1e-6:
         warnings.warn(
-            f"Fock truncation keeps only {1 - tail:.6f} of the state",
+            f"Fock truncation keeps only {1 - op.tail_mass:.6f} of the state",
             PrecisionWarning,
         )
-    return FockOperator(rho, cutoffs, tail_mass=tail)
+    return op
 
 
 def adaptive_fock(state, tail_tol=FOCK_TAIL_TOL, cap=FOCK_CAP):
     """Fock expansion with the adaptive cutoff policy.
 
     Starts at ceil(4 (<n> + 1)) per mode and doubles until the tail mass
-    drops below ``tail_tol`` or the cap is reached (warning).
+    drops below ``tail_tol`` or the cap is reached.  Only a final cutoff
+    at the cap with the tail above ``tail_tol`` warns; undersized
+    intermediate cutoffs do not.
     """
     nb = mean_photons(state) / state.n_modes
     cut = int(np.ceil(4.0 * (nb + 1.0)))
     while True:
-        op = fock_density_matrix(state, min(cut, cap))
+        op = _fock_expansion(state, min(cut, cap))
         if op.tail_mass < tail_tol or cut >= cap:
             if cut >= cap and op.tail_mass >= tail_tol:
                 warnings.warn(

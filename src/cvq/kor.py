@@ -17,8 +17,15 @@ import numpy as np
 
 from . import gaussian as gs
 from . import mary
-from .numerics import OptimizerConfig, golden_min, minimize_bounded
-from .qkd import KgrResult, coherent_overlap_matrix, qpsk_mixture_eigenvalues
+from .numerics import maximize_scalar
+from .qkd import (
+    KgrResult,
+    _entropy_batch,
+    _entropy_rows,
+    _qpsk_amps,
+    coherent_overlap_matrix,
+    qpsk_mixture_eigenvalues,
+)
 
 __all__ = [
     "PhaseVector",
@@ -48,24 +55,10 @@ class PhaseVector:
         object.__setattr__(self, "phases", ph)
 
 
-def _entropy_rows(p):
-    """Shannon entropy (bits) along the last axis, 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, -p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return terms.sum(axis=-1)
-
-
 def _eve_entropy_given_outcomes(weights, gram):
     """Entropies of sum_k w_k |e_k><e_k| batched over the leading axes."""
     sq = np.sqrt(np.clip(weights, 0.0, None))
-    h = sq[..., :, None] * gram * sq[..., None, :]
-    ev = np.clip(np.linalg.eigvalsh(h), 0.0, None)
-    return _entropy_rows(ev)
-
-
-def _qpsk_amps(alpha2):
-    k = np.arange(M_QPSK)
-    return math.sqrt(alpha2) * np.exp(1j * np.pi * (2 * k + 1) / M_QPSK)
+    return _entropy_batch(sq[..., :, None] * gram * sq[..., None, :])
 
 
 def _rates_from_cond(cond, alpha2, t, beta):
@@ -130,16 +123,12 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
     phase tuples at the PGM-optimal energy (ties resolved toward the
     all-zero phases, which reproduce the PGM).
     """
-    def neg_k_pgm(a2):
+    def k_pgm(a2):
         cond = _cond_probs_batch(a2, t, np.zeros((1, 4)))[0]
         k, _, _ = _rates_from_cond(cond, alpha2=a2, t=t, beta=beta)
-        return -float(k)
+        return float(k)
 
-    grid = np.exp(np.linspace(math.log(alpha2_box[0]), math.log(alpha2_box[1]), 31))
-    a0 = grid[np.argmin([neg_k_pgm(x) for x in grid])]
-    a_pgm, negk = golden_min(
-        neg_k_pgm, max(alpha2_box[0], a0 / 2.0), min(alpha2_box[1], a0 * 2.0), tol=1e-7
-    )
+    a_pgm, k_pgm_opt = maximize_scalar(k_pgm, alpha2_box, 31, 1e-7)
     if mode == "PGM":
         res = kor_rate(a_pgm, np.zeros(4), t, beta)
         return KgrResult(
@@ -171,7 +160,7 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
         options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000},
     )
     x = res.x
-    if -res.fun < -negk + 1e-12:
+    if -res.fun < k_pgm_opt + 1e-12:
         x = np.array([0.0, 0.0, 0.0, a_pgm])  # tie toward the PGM
     phases = np.mod(np.concatenate([[0.0], x[:3]]), 2.0 * np.pi)
     a_opt = float(min(max(x[3], alpha2_box[0]), alpha2_box[1]))
@@ -224,16 +213,12 @@ def dh_rate(t, beta, alpha2=None, nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResul
         chi = s_e - float(np.sum(w2 * pb * s_cond))
         return i_ab, max(chi, 0.0)
 
-    def neg_k(a2):
+    def key_rate(a2):
         i_ab, chi = parts(a2)
-        return -(beta * i_ab - chi)
+        return beta * i_ab - chi
 
     if alpha2 is None:
-        grid = np.exp(np.linspace(math.log(alpha2_box[0]), math.log(alpha2_box[1]), 17))
-        a0 = grid[np.argmin([neg_k(x) for x in grid])]
-        alpha2, _ = golden_min(
-            neg_k, max(alpha2_box[0], a0 / 2.0), min(alpha2_box[1], a0 * 2.0), tol=1e-5
-        )
+        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 17, 2e-5)
     i_ab, chi = parts(alpha2)
     return KgrResult(
         beta * i_ab - chi, i_ab, chi, beta, params={"alpha2": float(alpha2)}
@@ -248,15 +233,8 @@ def qdffre_rate(t, beta, n_copies, alpha2=None, alpha2_box=(1e-2, 4.0)) -> KgrRe
         k, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
         return float(k), float(i_ab), float(chi)
 
-    def neg_k(a2):
-        return -parts(a2)[0]
-
     if alpha2 is None:
-        grid = np.exp(np.linspace(math.log(alpha2_box[0]), math.log(alpha2_box[1]), 17))
-        a0 = grid[np.argmin([neg_k(x) for x in grid])]
-        alpha2, _ = golden_min(
-            neg_k, max(alpha2_box[0], a0 / 2.0), min(alpha2_box[1], a0 * 2.0), tol=1e-5
-        )
+        alpha2, _ = maximize_scalar(lambda a2: parts(a2)[0], alpha2_box, 17, 2e-5)
     k, i_ab, chi = parts(alpha2)
     return KgrResult(k, i_ab, chi, beta, params={"alpha2": float(alpha2), "N": n_copies})
 

@@ -1,13 +1,15 @@
 """Deterministic numerical kernels shared by the whole package.
 
 Bounded derivative-free minimization (grid-seeded Nelder-Mead with
-restarts), bracketed root finding, Gauss-Hermite and composite Simpson
+restarts), grid-bracketed golden-section maximization in one positive
+variable, bracketed root finding, Gauss-Hermite and composite Simpson
 quadrature, and Hermitian matrix square roots.  Everything here is pure
 and reproducible: no random number generator is ever consulted.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +36,6 @@ class OptimizerConfig:
     ftol: float = 1e-12
     max_iter: int = 2000
     restarts: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.xtol <= 0 or self.ftol <= 0:
@@ -134,6 +135,37 @@ def golden_min(f, a, b, tol=1e-9, max_iter=200):
             fd_ = f(d)
     x = (a + b) / 2.0
     return x, f(x)
+
+
+def maximize_scalar(f, box, n_grid, tol):
+    """Maximize ``f`` over a positive interval ``box = (lo, hi)``.
+
+    ``f`` is evaluated on a geometric grid of ``n_grid`` points spanning
+    the box.  For a unimodal ``f`` the maximizer lies between the two
+    grid neighbours of the best grid point (Kiefer, Proc. AMS 4, 502
+    (1953)); clamped at the grid ends, they bracket one golden-section
+    search in log x that stops at relative width ``tol``.  The call
+    spends ``n_grid`` evaluations plus those of that search.  When the
+    search ends below the best grid value, as it does for a maximum at
+    a box end, that grid point is returned instead.
+
+    Returns
+    -------
+    (x, f(x)) : maximizer and its value
+    """
+    lo, hi = float(box[0]), float(box[1])
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"box must satisfy 0 < lo < hi < inf, got {box}")
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), n_grid))
+    grid[0], grid[-1] = lo, hi
+    values = [f(x) for x in grid]
+    best = int(np.argmax(values))
+    a = math.log(grid[max(best - 1, 0)])
+    b = math.log(grid[min(best + 1, n_grid - 1)])
+    u, neg_f = golden_min(lambda u: -f(math.exp(u)), a, b, tol=tol)
+    if -neg_f < values[best]:
+        return float(grid[best]), values[best]
+    return math.exp(u), -neg_f
 
 
 def bisect_root(f, a, b, tol=1e-10, max_iter=200):

@@ -20,8 +20,8 @@ from . import gaussian as gs
 from .numerics import (
     PrecisionWarning,
     bisect_root,
-    golden_min,
     hermitian_sqrt,
+    maximize_scalar,
     minimize_bounded,
     OptimizerConfig,
     simpson_integral,
@@ -157,16 +157,12 @@ def gg02_kgr(channel: ChannelParams, beta, optimize_v=True, v=None) -> KgrResult
         chi_be = holevo_from_cm(cm)
         return i_ab, chi_be
 
-    def neg_k(vv):
+    def key_rate(vv):
         i_ab, chi_be = parts(vv)
-        return -(beta * i_ab - chi_be)
+        return beta * i_ab - chi_be
 
     if v is None and optimize_v:
-        grid = np.exp(np.linspace(math.log(1.01), math.log(200.0), 41))
-        v0 = grid[np.argmin([neg_k(x) for x in grid])]
-        lo = max(1.005, v0 / 2.0)
-        hi = min(250.0, v0 * 2.0)
-        v_opt, _ = golden_min(neg_k, lo, hi, tol=1e-7)
+        v_opt, _ = maximize_scalar(key_rate, (1.01, 250.0), 41, 1e-7)
     else:
         v_opt = 10.0 if v is None else v
     i_ab, chi_be = parts(v_opt)
@@ -324,16 +320,12 @@ def psk_kgr(m, channel: ChannelParams, beta, alpha2=None,
         chi_be = holevo_from_cm(cm)
         return i_ab, chi_be
 
-    def neg_k(a2):
+    def key_rate(a2):
         i_ab, chi_be = parts(a2)
-        return -(beta * i_ab - chi_be)
+        return beta * i_ab - chi_be
 
     if alpha2 is None:
-        grid = np.exp(np.linspace(math.log(alpha2_box[0]), math.log(alpha2_box[1]), 25))
-        a0 = grid[np.argmin([neg_k(x) for x in grid])]
-        alpha2, _ = golden_min(
-            neg_k, max(alpha2_box[0], a0 / 2.0), min(alpha2_box[1], a0 * 2.0), tol=1e-6
-        )
+        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 25, 3e-6)
     i_ab, chi_be = parts(alpha2)
     return KgrResult(
         beta * i_ab - chi_be, i_ab, chi_be, beta, params={"alpha2": float(alpha2)}
@@ -468,13 +460,11 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
         return result(_qam_delta(m_side, nbar, xi), xi, nbar)
 
     if sampling == "uniform":
-        def neg_k(nb):
+        def key_rate(nb):
             i_ab, chi_be = parts(_qam_delta(m_side, nb, 0.0), 0.0, nb)
-            return -(beta * i_ab - chi_be)
+            return beta * i_ab - chi_be
 
-        grid = np.exp(np.linspace(math.log(0.05), math.log(20.0), 21))
-        n0 = grid[np.argmin([neg_k(x) for x in grid])]
-        nb, _ = golden_min(neg_k, n0 / 2.0, n0 * 2.0, tol=1e-4)
+        nb, _ = maximize_scalar(key_rate, (0.05, 20.0), 21, 1e-4)
         return result(_qam_delta(m_side, nb, 0.0), 0.0, nb)
 
     def neg_k2(v):
@@ -545,16 +535,12 @@ def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
         chi_be = holevo_from_cm(sub, measured_mode=1)
         return i_ab, chi_be
 
-    def neg_k(a2):
+    def key_rate(a2):
         i_ab, chi_be = parts(a2)
-        return -(beta * i_ab - chi_be)
+        return beta * i_ab - chi_be
 
     if alpha2 is None:
-        grid = np.exp(np.linspace(math.log(alpha2_box[0]), math.log(alpha2_box[1]), 25))
-        a0 = grid[np.argmin([neg_k(x) for x in grid])]
-        alpha2, _ = golden_min(
-            neg_k, max(alpha2_box[0], a0 / 2.0), min(alpha2_box[1], a0 * 2.0), tol=1e-6
-        )
+        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 25, 3e-6)
     i_ab, chi_be = parts(alpha2)
     return KgrResult(
         beta * i_ab - chi_be, i_ab, chi_be, beta, params={"alpha2": float(alpha2)}
@@ -642,14 +628,19 @@ def _qpsk_amps(alpha2):
     return math.sqrt(alpha2) * np.exp(1j * np.pi * (2 * k + 1) / 4)
 
 
+def _entropy_rows(p):
+    """Shannon entropy (bits) along the last axis, 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, -p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    return terms.sum(axis=-1)
+
+
 def _entropy_batch(mats):
+    """Von Neumann entropies (bits) of PSD matrices, batched over leading axes."""
     ev = np.linalg.eigvalsh(mats)
     if np.min(ev) < -1e-9:
         raise FloatingPointError("negative eigenvalue in conditional mixture")
-    ev = np.clip(ev, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(ev > 0.0, -ev * np.log2(np.where(ev > 0, ev, 1.0)), 0.0)
-    return terms.sum(axis=-1)
+    return _entropy_rows(np.clip(ev, 0.0, None))
 
 
 def _wiretap_pure(alpha2, channel, beta, n_nodes):
@@ -771,16 +762,12 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
             chi = _wiretap_thermal(a2, channel, beta, n_nodes)
         return i_ab, max(chi, 0.0)
 
-    def neg_k(a2):
+    def key_rate(a2):
         i_ab, chi = parts(a2)
-        return -(beta * i_ab - chi)
+        return beta * i_ab - chi
 
     if alpha2 is None:
-        grid = np.exp(np.linspace(math.log(alpha2_box[0]), math.log(alpha2_box[1]), 9))
-        a0 = grid[np.argmin([neg_k(x) for x in grid])]
-        alpha2, _ = golden_min(
-            neg_k, max(alpha2_box[0], a0 / 1.6), min(alpha2_box[1], a0 * 1.6), tol=2e-3
-        )
+        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 9, 4e-3)
     i_ab, chi = parts(alpha2)
     return KgrResult(
         beta * i_ab - chi, i_ab, chi, beta, params={"alpha2": float(alpha2)}

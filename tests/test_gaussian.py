@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg
 
 from cvq import gaussian as gs
+from cvq.numerics import PrecisionWarning
 
 
 def random_physical_cm(rng, n_modes, nu_max=3.0):
@@ -249,6 +251,20 @@ class TestFock:
         op = gs.adaptive_fock(st0)
         assert op.tail_mass < 1e-10
         assert abs(op.entropy() - gs.entropy_cm(st0.cm)) < 1e-6
+
+    @pytest.mark.parametrize("nbar", [0.3, 1.0])
+    def test_adaptive_fock_silent_when_final_cutoff_converges(self, nbar):
+        # the first cutoffs tried keep only 0.999965 (nbar 0.3) and
+        # 0.998047, 0.999992 (nbar 1.0) of the state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            op = gs.adaptive_fock(gs.make_state("thermal", nbar=nbar))
+        assert op.tail_mass < 1e-10
+
+    def test_adaptive_fock_warns_at_cap(self):
+        with pytest.warns(PrecisionWarning, match="cap 20 reached"):
+            op = gs.adaptive_fock(gs.make_state("thermal", nbar=5.0), cap=20)
+        assert op.cutoffs == (20,) and op.tail_mass > 1e-10
 
     def test_displaced_squeezed_hermitian_psd(self):
         st0 = gs.GaussianState(

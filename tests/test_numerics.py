@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from cvq import numerics
 from cvq.numerics import (
     OptimizerConfig,
     bisect_root,
     gaussian_average,
     golden_min,
     hermitian_sqrt,
+    maximize_scalar,
     minimize_bounded,
     simpson_integral,
 )
@@ -43,6 +45,49 @@ class TestMinimizeBounded:
         a = minimize_bounded(f, [(0.0, 1.0)])
         b = minimize_bounded(f, [(0.0, 1.0)])
         assert a[0].tolist() == b[0].tolist() and a[1] == b[1]
+
+
+class TestMaximizeScalar:
+    def test_interior_maximum_within_tol(self):
+        # x exp(-x) peaks at x = 1, off the grid and asymmetric in log x
+        x, fx = maximize_scalar(lambda x: x * math.exp(-x), (1e-2, 50.0), 25, 1e-6)
+        assert abs(math.log(x)) <= 1e-6
+        assert fx == x * math.exp(-x)
+
+    @pytest.mark.parametrize("sign, end", [(-1.0, 0.1), (1.0, 10.0)])
+    def test_box_end_maximum(self, sign, end):
+        x, fx = maximize_scalar(lambda x: sign * x, (0.1, 10.0), 9, 1e-7)
+        assert x == end and fx == sign * end
+
+    def test_one_golden_call_and_evaluation_budget(self, monkeypatch):
+        golden_evals = []
+
+        def spy(f, a, b, tol):
+            count = [0]
+
+            def counted(u):
+                count[0] += 1
+                return f(u)
+
+            out = golden_min(counted, a, b, tol=tol)
+            golden_evals.append(count[0])
+            return out
+
+        monkeypatch.setattr(numerics, "golden_min", spy)
+        evals = [0]
+
+        def f(x):
+            evals[0] += 1
+            return -((math.log(x) - 0.3) ** 2)
+
+        maximize_scalar(f, (0.01, 100.0), 17, 1e-6)
+        assert len(golden_evals) == 1
+        assert evals[0] == 17 + golden_evals[0]
+
+    @pytest.mark.parametrize("box", [(0.0, 1.0), (2.0, 1.0), (1.0, math.inf)])
+    def test_rejects_bad_box(self, box):
+        with pytest.raises(ValueError, match="box"):
+            maximize_scalar(lambda x: x, box, 9, 1e-6)
 
 
 class TestRoots:
