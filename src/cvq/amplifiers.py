@@ -19,7 +19,7 @@ import numpy as np
 from scipy import linalg
 
 from . import gaussian as gs
-from .numerics import OptimizerConfig, golden_min, maximize_scalar, minimize_bounded
+from .numerics import golden_min, maximize_scalar, minimize_bounded
 from .qkd import ChannelParams, KgrResult, holevo_from_cm
 
 __all__ = [
@@ -53,6 +53,8 @@ class SpanLink:
     def __post_init__(self):
         if self.m_spans < 1:
             raise ValueError("need at least one span")
+        if self.d_km < 0.0 or self.kappa < 0.0 or self.eps < 0.0:
+            raise ValueError("distance, attenuation and excess noise must be >= 0")
         if self.gain < 1.0:
             raise ValueError("power gain must be >= 1")
         if self.kind not in ("pia", "psa"):
@@ -86,57 +88,66 @@ def _geom_factor(x, m):
     return (1.0 - x**m) / (x ** (m - 1) * (1.0 - x))
 
 
+def _span_chain(link: SpanLink, n):
+    """Per-quadrature (tau, chi) of ``n`` loss-plus-amplifier spans.
+
+    Both amplifier kinds act on q and p separately (Caves, Phys. Rev. D
+    26, 1817 (1982)): a PIA scales both by G and adds G - 1, a PSA scales
+    q by G and p by 1/G and adds nothing.  With x = T G (q; p of a PIA)
+    or T / G (p of a PSA), a quadrature variance s leaves the chain as
+    tau (s + chi) with tau = x^n and the input-referred noise
+    chi = F(x, n) (span_chi + (G - 1) / x [PIA only]), F the geometric
+    factor.  ``n = 0`` gives (1, 0).
+    """
+    t, g, chi = link.span_T, link.gain, link.span_chi
+    pia = link.kind == "pia"
+    out = []
+    for x in (g * t, g * t if pia else t / g):
+        chi_x = chi + (g - 1.0) / x if pia else chi
+        out.append((x**n, _geom_factor(x, n) * chi_x))
+    return out
+
+
+def _amplifier(link: SpanLink):
+    """Per-quadrature (power factor, input-referred noise) of one amplifier."""
+    g = link.gain
+    if link.kind == "pia":
+        return [(g, (g - 1.0) / g)] * 2
+    return [(g, 0.0), (1.0 / g, 0.0)]
+
+
+def _map_mode(cm, mode, quads):
+    """sigma -> tau (sigma + chi) on each quadrature of ``mode``, in place."""
+    for i, (tau, chi) in zip((2 * mode, 2 * mode + 1), quads):
+        s = math.sqrt(tau)
+        cm[i, :] *= s
+        cm[:, i] *= s
+        cm[i, i] += tau * chi
+
+
 def span_link_cm(link: SpanLink, v):
     """Closed-form 2-mode CM after the full amplified link.
 
-    For a PIA link both quadratures see transmissivity (G T)^M and added
-    noise chi^(M); a PSA link is phase sensitive with (G T)^M on q and
-    (T/G)^M on p.  Reproducible by explicit M-fold channel composition.
+    Each quadrature of Bob's mode sees its own transmissivity and
+    input-referred noise from :func:`_span_chain`: (G T)^M on both for a
+    PIA link, (G T)^M on q and (T/G)^M on p for a PSA link.
+    Reproducible by explicit M-fold channel composition.
     """
     if v <= 1.0:
         raise ValueError("modulation variance must exceed 1")
-    t, g, m = link.span_T, link.gain, link.m_spans
-    chi = link.span_chi
+    (tq, cq), (tp, cp) = _span_chain(link, link.m_spans)
     z = math.sqrt(v * v - 1.0)
-    sz = np.diag([1.0, -1.0])
-    if link.kind == "pia":
-        chi_g = (g - 1.0) / (g * t)
-        t_m = (g * t) ** m
-        chi_m = _geom_factor(g * t, m) * (chi + chi_g)
-        b = t_m * (v + chi_m)
-        zz = math.sqrt(t_m) * z
-        cm = np.block(
-            [[v * np.eye(2), zz * sz], [zz * sz, b * np.eye(2)]]
-        )
-    else:
-        t1 = (g * t) ** m
-        t2 = (t / g) ** m
-        chi1 = _geom_factor(g * t, m) * chi
-        chi2 = _geom_factor(t / g, m) * chi
-        b1 = t1 * (v + chi1)
-        b2 = t2 * (v + chi2)
-        z1 = math.sqrt(t1) * z
-        z2 = math.sqrt(t2) * z
-        cm = np.array(
-            [
-                [v, 0.0, z1, 0.0],
-                [0.0, v, 0.0, -z2],
-                [z1, 0.0, b1, 0.0],
-                [0.0, -z2, 0.0, b2],
-            ]
-        )
+    zq = math.sqrt(tq) * z
+    zp = math.sqrt(tp) * z
+    cm = np.array(
+        [
+            [v, 0.0, zq, 0.0],
+            [0.0, v, 0.0, -zp],
+            [zq, 0.0, tq * (v + cq), 0.0],
+            [0.0, -zp, 0.0, tp * (v + cp)],
+        ]
+    )
     return gs.GaussianState(np.zeros(4), cm, check=False)
-
-
-def _compose_link_state(link: SpanLink, v):
-    """M-fold apply_channel composition (cross-check of the closed form)."""
-    state = gs.make_state("tmsv", V=v)
-    loss = gs.thermal_loss_channel(link.span_T, link.nbar_T)
-    amp = gs.pia_channel(link.gain) if link.kind == "pia" else gs.psa_channel(link.gain)
-    for _ in range(link.m_spans):
-        state = gs.apply_channel(state, loss, modes=[1])
-        state = gs.apply_channel(state, amp, modes=[1])
-    return state
 
 
 def gain_cap(link: SpanLink, v):
@@ -213,11 +224,10 @@ def _optimize_v_gain(parts, link, beta, v, gain):
             lambda u: neg_k(1.0 + math.exp(u), gain), u0 - 0.35, u0 + 0.35, tol=1e-7
         )
         return 1.0 + math.exp(u_opt), gain
-    cfg = OptimizerConfig(grid_points=15, xtol=1e-7, ftol=1e-12)
     x, f2 = minimize_bounded(
         lambda x: neg_k(1.0 + math.exp(x[0]), admissible_gain(1.0 + math.exp(x[0]), x[1])),
         [v_box, (0.0, 1.0)],
-        cfg,
+        15, 1e-7, 1e-12,
     )
     v = 1.0 + math.exp(x[0])
     gain = admissible_gain(v, float(x[1]))
@@ -229,22 +239,19 @@ def _optimize_v_gain(parts, link, beta, v, gain):
 
 
 def _conditional_cms(link: SpanLink, v, k_span):
-    """8x8 CM of (A, B, E1, E2) with span ``k_span`` wiretapped."""
+    """8x8 CM of (A, B, E1, E2) with span ``k_span`` wiretapped.
+
+    The k - 1 trusted spans before the tap and the M - k after it act on
+    B as one per-quadrature map each; Eve's entangling cloner is a beam
+    splitter between B and her TMSV half E1.
+    """
     v_eps = 1.0 + 2.0 * link.nbar_T
+    # both states are built here, so their CMs are updated in place
     state = gs.make_state("tmsv", V=v).tensor(gs.make_state("tmsv", V=v_eps))
-    loss = gs.thermal_loss_channel(link.span_T, link.nbar_T)
-    amp = (
-        gs.pia_channel(link.gain)
-        if link.kind == "pia"
-        else gs.psa_channel(link.gain)
-    )
-    bs = gs.beam_splitter(link.span_T)
-    for j in range(1, link.m_spans + 1):
-        if j == k_span:
-            state = gs.apply_channel(state, bs, modes=[1, 2])
-        else:
-            state = gs.apply_channel(state, loss, modes=[1])
-        state = gs.apply_channel(state, amp, modes=[1])
+    _map_mode(state.cm, 1, _span_chain(link, k_span - 1))
+    state = gs.apply_channel(state, gs.beam_splitter(link.span_T), modes=[1, 2])
+    _map_mode(state.cm, 1, _amplifier(link))
+    _map_mode(state.cm, 1, _span_chain(link, link.m_spans - k_span))
     return state
 
 
@@ -597,10 +604,9 @@ def nla_kgr(kind, channel: ChannelParams, beta, gain=None, eta=1.0,
 
     g_hi = 2.0 + 4.0 / math.sqrt(t)
     if gain is None and v is None:
-        cfg = OptimizerConfig(grid_points=17, xtol=1e-6, ftol=1e-12)
         box = [(math.log(0.02), math.log(40.0)), (0.0, math.log(g_hi))]
         x, _ = minimize_bounded(
-            lambda u: -key_rate(1.0 + math.exp(u[0]), math.exp(u[1])), box, cfg
+            lambda u: -key_rate(1.0 + math.exp(u[0]), math.exp(u[1])), box, 17, 1e-6, 1e-12
         )
         v = 1.0 + math.exp(x[0])
         gain = math.exp(x[1])

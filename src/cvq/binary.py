@@ -24,7 +24,6 @@ from .numerics import (
     gauss_hermite_nodes,
     golden_min,
     minimize_bounded,
-    OptimizerConfig,
 )
 
 __all__ = [
@@ -452,11 +451,10 @@ def hynore(scenario: BpskScenario, detection="hl", z=None,
         return ReceiverResult(p, {"tau": tau, "z": z})
 
     z_max = math.sqrt(spec.resolution + 3.0)
-    cfg = OptimizerConfig(grid_points=grid, xtol=1e-7, ftol=1e-14)
     x, p = minimize_bounded(
         lambda v: _hynore_perr(scenario, _tau_warp(v[0]), v[1]),
         [(0.0, 1.0), (0.0, z_max)],
-        cfg,
+        grid, 1e-7, 1e-14,
     )
     return ReceiverResult(p, {"tau": _tau_warp(float(x[0])), "z": float(x[1])})
 
@@ -502,10 +500,9 @@ def hffre(scenario: BpskScenario, n_copies: int, grid=21) -> ReceiverResult:
         probs, _ = run(tau, z, n_th)
         return 1.0 - probs[-1]
 
-    cfg = OptimizerConfig(grid_points=grid, xtol=1e-7, ftol=1e-14)
     for n_th in ths:
         x, p = minimize_bounded(
-            lambda v: objective(v, n_th), [(0.0, 1.0), (0.0, z_max)], cfg
+            lambda v: objective(v, n_th), [(0.0, 1.0), (0.0, z_max)], grid, 1e-7, 1e-14
         )
         if best["p"] is None or p < best["p"]:
             tau = _tau_warp(float(x[0]))

@@ -4,15 +4,11 @@ Each experiment is a pure function (profile, params) -> (columns, meta)
 where ``columns`` is an ordered mapping column-name -> 1-D array.  The
 ``fast`` profile coarsens grids so every experiment finishes within a
 minute; ``paper`` keeps the tolerances used by the acceptance suite.
-Sweep points are evaluated concurrently when CVQ_THREADS > 1; outputs
-are assembled in order, so files are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,23 +41,6 @@ def run_experiment(eid, profile="paper", params=None):
     return fn(profile, params or {})
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("CVQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    """Ordered map, optionally threaded (CVQ_THREADS caps the pool)."""
-    n = _threads()
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _grid(profile, params, key, lo, hi, n_paper, n_fast):
     n = int(params.get(key, n_fast if profile == "fast" else n_paper))
     return np.linspace(lo, hi, n)
@@ -81,7 +60,7 @@ def bpsk_curves(profile, params):
         phy = binary.hynore(sc, detection="homodyne").p_err
         return hel, sql, pk, pik, phy
 
-    rows = np.array(_map(row, a2))
+    rows = np.array([row(a) for a in a2])
     cols = {
         "alpha2": a2,
         "P_Hel": rows[:, 0],
@@ -109,7 +88,7 @@ def bpsk_imperfect(profile, params):
         phy = binary.hynore(sc, grid=grid).p_err
         return pd, phy, binary.sql(binary.BpskScenario(x))
 
-    rows = np.array(_map(row, a2))
+    rows = np.array([row(a) for a in a2])
     return {
         "alpha2": a2,
         "P_DPNR": rows[:, 0],
@@ -133,7 +112,7 @@ def qpsk_disc(profile, params):
         _, qdf = mary.qdffre(x, n_ff)
         return pmin, sql, b1, b2, qd, qdf
 
-    rows = np.array(_map(row, a2))
+    rows = np.array([row(a) for a in a2])
     return {
         "alpha2": a2,
         "P_min": rows[:, 0],
@@ -180,7 +159,7 @@ def gg02_kgr_exp(profile, params):
         r = qkd.gg02_kgr(qkd.ChannelParams.from_distance(d, eps, kappa), beta)
         return r.K, r.params["V"]
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {"d_km": ds, "K": rows[:, 0], "V_opt": rows[:, 1]}, {}
 
 
@@ -196,7 +175,7 @@ def psk_kgr_exp(profile, params):
         r = qkd.psk_kgr(order, qkd.ChannelParams.from_distance(d, eps), beta)
         return r.K, r.params["alpha2"]
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {"d_km": ds, "K": rows[:, 0], "alpha2_opt": rows[:, 1]}, {}
 
 
@@ -215,7 +194,7 @@ def qam_kgr_exp(profile, params):
         rg = qkd.gg02_kgr(qkd.ChannelParams.from_distance(d, eps), beta)
         return r.K, r.params["nbar"], r.params["xi"], rg.K
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {
         "d_km": ds,
         "K": rows[:, 0],
@@ -242,7 +221,7 @@ def trusted_qpsk_exp(profile, params):
             out.append(qkd.trusted_qpsk_kgr(ch, beta, sc).K)
         return out
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {
         "d_km": ds,
         "K_uLuN": rows[:, 0],
@@ -265,7 +244,7 @@ def wiretap_qpsk_exp(profile, params):
         ku = qkd.psk_kgr(4, ch, beta)
         return kw.K, ku.K
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {"d_km": ds, "K_wiretap": rows[:, 0], "K_unconditional": rows[:, 1]}, {}
 
 
@@ -284,7 +263,7 @@ def multispan_unc_exp(profile, params):
         r0 = amp.multispan_kgr_unconditional(lk, beta, case="IIa", gain=1.0)
         return rb.K, rb.params["G"], ra.params["G"], r0.K
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {
         "d_km": ds,
         "K_IIb": rows[:, 0],
@@ -312,7 +291,7 @@ def multispan_cond_exp(profile, params):
             out.append(rc.K / rb.K if rb.K > 0 else math.nan)
         return out
 
-    rows = np.array(_map(row, ks))
+    rows = np.array([row(k) for k in ks])
     return {
         "k": ks.astype(float),
         "ratio_I": rows[:, 0],
@@ -341,7 +320,7 @@ def nla_kgr_exp(profile, params):
         kp, _ = amp.plob(ch.T, ch.nbar_T)
         return [kg] + vals + [kp]
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {
         "d_km": ds,
         "K_GG02": rows[:, 0],
@@ -380,7 +359,7 @@ def kor_ratio_exp(profile, params):
         ph = kor.canonical_phases(rkor.params["phases"])
         return [rdh.K, rpgm.K, rkor.K, *ph[1:], rkor.params["alpha2"]]
 
-    rows = np.array(_map(row, ds))
+    rows = np.array([row(d) for d in ds])
     return {
         "d_km": ds,
         "K_DH": rows[:, 0],

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, optimize
@@ -21,31 +20,11 @@ class PrecisionWarning(UserWarning):
     """Raised when an adaptive rule did not reach its target accuracy."""
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs for :func:`minimize_bounded`.
-
-    grid_points: points per axis of the seeding grid.
-    xtol, ftol: Nelder-Mead termination tolerances.
-    max_iter: Nelder-Mead iteration cap.
-    restarts: extra polish runs from a deterministically perturbed start.
-    """
-
-    grid_points: int = 21
-    xtol: float = 1e-9
-    ftol: float = 1e-12
-    max_iter: int = 2000
-    restarts: int = 2
-
-    def __post_init__(self):
-        if self.xtol <= 0 or self.ftol <= 0:
-            raise ValueError("tolerances must be positive")
+NM_MAX_ITER = 2000  # Nelder-Mead iteration cap of minimize_bounded
+NM_RESTARTS = 2  # extra polish runs from deterministically perturbed starts
 
 
-DEFAULT_CONFIG = OptimizerConfig()
-
-
-def _nm_polish(f, x0, lo, hi, config):
+def _nm_polish(f, x0, lo, hi, xtol, ftol):
     """Bounded Nelder-Mead starting from ``x0``; returns (x, fx)."""
     res = optimize.minimize(
         f,
@@ -53,22 +32,23 @@ def _nm_polish(f, x0, lo, hi, config):
         method="Nelder-Mead",
         bounds=list(zip(lo, hi)),
         options={
-            "xatol": config.xtol,
-            "fatol": config.ftol,
-            "maxiter": config.max_iter,
+            "xatol": xtol,
+            "fatol": ftol,
+            "maxiter": NM_MAX_ITER,
             "disp": False,
         },
     )
     return np.clip(res.x, lo, hi), float(res.fun)
 
 
-def minimize_bounded(f, box, config: OptimizerConfig = DEFAULT_CONFIG):
+def minimize_bounded(f, box, n_grid, xtol, ftol):
     """Minimize ``f`` over a finite box, deterministically.
 
-    A regular grid seeds a Nelder-Mead polish; the polish is restarted
-    ``config.restarts`` times from deterministically perturbed simplices
-    and the best point is kept.  NaN values of ``f`` abort with the
-    offending location in the message.
+    A regular grid of ``n_grid`` points per axis seeds a Nelder-Mead
+    polish with termination tolerances ``xtol`` and ``ftol``; the polish
+    is restarted ``NM_RESTARTS`` times from deterministically perturbed
+    simplices and the best point is kept.  NaN values of ``f`` abort
+    with the offending location in the message.
 
     Parameters
     ----------
@@ -79,6 +59,8 @@ def minimize_bounded(f, box, config: OptimizerConfig = DEFAULT_CONFIG):
     -------
     (x, fx) : minimizer and its value
     """
+    if xtol <= 0 or ftol <= 0:
+        raise ValueError("tolerances must be positive")
     box = [(float(a), float(b)) for a, b in box]
     lo = np.array([a for a, _ in box])
     hi = np.array([b for _, b in box])
@@ -92,7 +74,7 @@ def minimize_bounded(f, box, config: OptimizerConfig = DEFAULT_CONFIG):
             raise FloatingPointError(f"objective returned NaN at x={np.asarray(x)}")
         return v
 
-    axes = [np.linspace(a, b, config.grid_points) for a, b in box]
+    axes = [np.linspace(a, b, n_grid) for a, b in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     vals = np.array([fc(p) for p in pts])
@@ -106,11 +88,11 @@ def minimize_bounded(f, box, config: OptimizerConfig = DEFAULT_CONFIG):
     span = hi - lo
     starts = [best_x]
     # deterministic perturbations toward the interior
-    for r in range(config.restarts):
+    for r in range(NM_RESTARTS):
         shift = span * (0.07 + 0.05 * r) * (-1.0) ** np.arange(ndim)
         starts.append(np.clip(best_x + shift, lo, hi))
     for x0 in starts:
-        x, fx = _nm_polish(fc, x0, lo, hi, config)
+        x, fx = _nm_polish(fc, x0, lo, hi, xtol, ftol)
         if fx < best_f:
             best_x, best_f = x, fx
     return best_x, best_f

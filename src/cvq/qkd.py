@@ -23,7 +23,6 @@ from .numerics import (
     hermitian_sqrt,
     maximize_scalar,
     minimize_bounded,
-    OptimizerConfig,
     simpson_integral,
 )
 
@@ -472,11 +471,10 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
         i_ab, chi_be = parts(dl, x, _qam_energy(m_side, dl, x))
         return -(beta * i_ab - chi_be)
 
-    cfg = OptimizerConfig(grid_points=21, xtol=1e-5, ftol=1e-10)
     # delta_lo: the uniform grid's spacing at nbar = 0.05
     delta_lo = math.sqrt(0.3 / (m_side**2 - 1.0))
     box = [(math.log(delta_lo), math.log(_qam_delta_max(m_side))), (0.0, 3.0)]
-    v_opt, _ = minimize_bounded(neg_k2, box, cfg)
+    v_opt, _ = minimize_bounded(neg_k2, box, 21, 1e-5, 1e-10)
     dl, x = math.exp(v_opt[0]), float(v_opt[1])
     return result(dl, x, _qam_energy(m_side, dl, x))
 
@@ -578,7 +576,9 @@ def mixture_entropy(weights, components) -> float:
     ``components`` is either a sequence of complex coherent amplitudes
     (exact finite-rank eigenproblem through the overlap matrix) or a
     sequence of GaussianState objects (truncated Fock expansion and a
-    dense eigendecomposition).
+    dense eigendecomposition).  The Fock cutoff doubles until the trace
+    defect drops below 1e-9; only a final cutoff at ``gs.FOCK_CAP`` with
+    a larger defect warns.
     """
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-10:
@@ -588,10 +588,16 @@ def mixture_entropy(weights, components) -> float:
         nb = max(gs.mean_photons(c) / c.n_modes for c in comps)
         cut = max(10, int(np.ceil(4.0 * (nb + 1.0))))
         while True:
-            mats = [gs.fock_density_matrix(c, cut).matrix for c in comps]
+            mats = [gs._fock_expansion(c, min(cut, gs.FOCK_CAP)).matrix for c in comps]
             rho = sum(wk * mk for wk, mk in zip(w, mats))
             defect = 1.0 - float(np.real(np.trace(rho)))
             if defect < 1e-9 or cut >= gs.FOCK_CAP:
+                if defect >= 1e-9:
+                    warnings.warn(
+                        f"Fock cutoff cap {gs.FOCK_CAP} reached in mixture "
+                        f"(defect {defect:.2e})",
+                        PrecisionWarning,
+                    )
                 break
             cut *= 2
         ev = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)

@@ -96,13 +96,66 @@ def spc_oracle(v, t, eps, g, eta, cutoff=11):
     return _moments(out, d)
 
 
+def _amplifier_channel(link):
+    return gs.pia_channel(link.gain) if link.kind == "pia" else gs.psa_channel(link.gain)
+
+
+def _compose_link_state(link, v):
+    """M-fold apply_channel composition of the link (oracle of span_link_cm)."""
+    state = gs.make_state("tmsv", V=v)
+    loss = gs.thermal_loss_channel(link.span_T, link.nbar_T)
+    amp_ch = _amplifier_channel(link)
+    for _ in range(link.m_spans):
+        state = gs.apply_channel(state, loss, modes=[1])
+        state = gs.apply_channel(state, amp_ch, modes=[1])
+    return state
+
+
+def _compose_conditional_state(link, v, k_span):
+    """Span-by-span 8x8 (A, B, E1, E2) CM with span ``k_span`` tapped
+    (oracle of _conditional_cms)."""
+    v_eps = 1.0 + 2.0 * link.nbar_T
+    state = gs.make_state("tmsv", V=v).tensor(gs.make_state("tmsv", V=v_eps))
+    loss = gs.thermal_loss_channel(link.span_T, link.nbar_T)
+    amp_ch = _amplifier_channel(link)
+    bs = gs.beam_splitter(link.span_T)
+    for j in range(1, link.m_spans + 1):
+        if j == k_span:
+            state = gs.apply_channel(state, bs, modes=[1, 2])
+        else:
+            state = gs.apply_channel(state, loss, modes=[1])
+        state = gs.apply_channel(state, amp_ch, modes=[1])
+    return state
+
+
+def _max_rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 class TestSpanLink:
     def test_closed_form_matches_composition(self):
-        for kind, gain in (("psa", 1.2), ("pia", 1.3), ("psa", 1.0)):
-            lk = amp.SpanLink(5, 150.0, 0.05, gain=gain, kind=kind)
-            a = amp.span_link_cm(lk, 8.0).cm
-            b = amp._compose_link_state(lk, 8.0).cm
-            assert np.max(np.abs(a - b)) < 1e-10
+        worst = 0.0
+        for kind in ("pia", "psa"):
+            for m in (1, 2, 5):
+                for g in (1.0, 1.2, 1.3, 2.0):
+                    for v in (1.5, 8.0, 150.0):
+                        lk = amp.SpanLink(m, 150.0, 0.05, gain=g, kind=kind)
+                        worst = max(worst, _max_rel_diff(
+                            amp.span_link_cm(lk, v).cm, _compose_link_state(lk, v).cm
+                        ))
+                        for k in range(1, m + 1):
+                            worst = max(worst, _max_rel_diff(
+                                amp._conditional_cms(lk, v, k).cm,
+                                _compose_conditional_state(lk, v, k).cm,
+                            ))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "d_km, eps, kappa", [(-10.0, 0.05, 0.2), (10.0, -0.05, 0.2), (10.0, 0.05, -0.2)]
+    )
+    def test_rejects_negative_inputs(self, d_km, eps, kappa):
+        with pytest.raises(ValueError, match=">= 0"):
+            amp.SpanLink(2, d_km, eps, kind="psa", kappa=kappa)
 
     def test_unit_gain_reproduces_single_span(self):
         lk = amp.SpanLink(6, 120.0, 0.04, gain=1.0, kind="psa")

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -44,16 +42,6 @@ class TestCliProcess:
         assert cli.main(argv + ["--out", str(out1)]) == 0
         assert cli.main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_csv_independent_of_threads(self, tmp_path, monkeypatch):
-        blobs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("CVQ_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
-            argv = ["gg02-kgr", "--profile", "fast", "--key", "points=3"]
-            assert cli.main(argv + ["--out", str(out)]) == 0
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_csv_shape_and_header(self, tmp_path):
         out = tmp_path / "c.csv"

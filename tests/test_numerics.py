@@ -5,7 +5,6 @@ import pytest
 
 from cvq import numerics
 from cvq.numerics import (
-    OptimizerConfig,
     bisect_root,
     gaussian_average,
     golden_min,
@@ -16,9 +15,13 @@ from cvq.numerics import (
 )
 
 
+# the seeding grid and Nelder-Mead tolerances used throughout these tests
+NM = (21, 1e-9, 1e-12)
+
+
 class TestMinimizeBounded:
     def test_quadratic(self):
-        x, f = minimize_bounded(lambda v: (v[0] - 0.3) ** 2, [(0.0, 1.0)])
+        x, f = minimize_bounded(lambda v: (v[0] - 0.3) ** 2, [(0.0, 1.0)], *NM)
         assert abs(x[0] - 0.3) < 1e-6
         assert f < 1e-12
 
@@ -26,25 +29,30 @@ class TestMinimizeBounded:
         def rosen(v):
             return (1 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
 
-        x, f = minimize_bounded(rosen, [(-2.0, 2.0), (-2.0, 2.0)])
+        x, f = minimize_bounded(rosen, [(-2.0, 2.0), (-2.0, 2.0)], *NM)
         assert f < 1e-8
         assert np.allclose(x, [1.0, 1.0], atol=1e-3)
 
     def test_constant_returns_center(self):
-        x, _ = minimize_bounded(lambda v: 7.0, [(0.0, 2.0), (-1.0, 3.0)])
+        x, _ = minimize_bounded(lambda v: 7.0, [(0.0, 2.0), (-1.0, 3.0)], *NM)
         assert np.allclose(x, [1.0, 1.0])
 
     def test_nan_aborts_with_location(self):
         with pytest.raises(FloatingPointError, match="NaN"):
-            minimize_bounded(lambda v: float("nan"), [(0.0, 1.0)])
+            minimize_bounded(lambda v: float("nan"), [(0.0, 1.0)], *NM)
 
     def test_deterministic(self):
         def f(v):
             return math.sin(5 * v[0]) + (v[0] - 0.4) ** 2
 
-        a = minimize_bounded(f, [(0.0, 1.0)])
-        b = minimize_bounded(f, [(0.0, 1.0)])
+        a = minimize_bounded(f, [(0.0, 1.0)], *NM)
+        b = minimize_bounded(f, [(0.0, 1.0)], *NM)
         assert a[0].tolist() == b[0].tolist() and a[1] == b[1]
+
+    @pytest.mark.parametrize("xtol, ftol", [(0.0, 1e-12), (1e-9, -1e-12)])
+    def test_rejects_nonpositive_tolerances(self, xtol, ftol):
+        with pytest.raises(ValueError, match="tolerances"):
+            minimize_bounded(lambda v: v[0] ** 2, [(0.0, 1.0)], 21, xtol, ftol)
 
 
 class TestMaximizeScalar:

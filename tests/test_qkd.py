@@ -257,6 +257,31 @@ class TestMixtureEntropy:
         with pytest.raises(ValueError):
             qkd.mixture_entropy([0.7, 0.7], [0.1, 0.2])
 
+    def test_gaussian_branch_quiet_when_final_cutoff_converges(self):
+        # the cutoff doubles from 10 to 20; the undersized first step must not warn
+        states = [gs.make_state("thermal", nbar=1.0), gs.make_state("coherent", alpha=0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            got = qkd.mixture_entropy([0.5, 0.5], states)
+        # the same cutoffs built through fock_density_matrix give this value
+        assert abs(got - 1.3734220888403297) < 1e-12
+
+    def test_gaussian_branch_capped_and_warns_once(self, monkeypatch):
+        cutoffs = []
+        expand = gs._fock_expansion
+
+        def spy(state, cutoff):
+            cutoffs.append(cutoff)
+            return expand(state, cutoff)
+
+        monkeypatch.setattr(gs, "_fock_expansion", spy)
+        states = [gs.make_state("thermal", nbar=60.0), gs.make_state("coherent", alpha=0.5)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            qkd.mixture_entropy([0.5, 0.5], states)
+        assert len([w for w in caught if issubclass(w.category, PrecisionWarning)]) == 1
+        assert cutoffs and max(cutoffs) <= gs.FOCK_CAP
+
 
 class TestWiretap:
     def test_t_one_no_leak(self):
