@@ -21,7 +21,6 @@ from .detectors import INF_RESOLUTION, PnrSpec
 from .numerics import (
     PrecisionWarning,
     bisect_root,
-    gauss_hermite_nodes,
     golden_min,
     minimize_bounded,
 )
@@ -87,7 +86,7 @@ class ReceiverResult:
 
 def _gh_phase_nodes(sigma, order=GH_ORDER):
     """Nodes/weights so that E[f] = sum w f(phi) for phi ~ N(0, sigma^2)."""
-    t, w = gauss_hermite_nodes(order)
+    t, w = np.polynomial.hermite.hermgauss(order)
     return np.sqrt(2.0) * sigma * t, w / np.sqrt(np.pi)
 
 

@@ -23,6 +23,7 @@ from .qkd import (
     _entropy_batch,
     _entropy_rows,
     _qpsk_amps,
+    _weighted_gram,
     coherent_overlap_matrix,
     qpsk_mixture_eigenvalues,
 )
@@ -55,12 +56,6 @@ class PhaseVector:
         object.__setattr__(self, "phases", ph)
 
 
-def _eve_entropy_given_outcomes(weights, gram):
-    """Entropies of sum_k w_k |e_k><e_k| batched over the leading axes."""
-    sq = np.sqrt(np.clip(weights, 0.0, None))
-    return _entropy_batch(sq[..., :, None] * gram * sq[..., None, :])
-
-
 def _rates_from_cond(cond, alpha2, t, beta):
     """K, I, chi for any four-outcome receiver given p(j|k).
 
@@ -82,7 +77,7 @@ def _rates_from_cond(cond, alpha2, t, beta):
         )
     # w[..., k, j] = p(k | outcome j); entropies batched over outcomes
     w_t = np.swapaxes(w, -1, -2)  # (..., j, k)
-    s_cond = _eve_entropy_given_outcomes(w_t, gram)
+    s_cond = _entropy_batch(_weighted_gram(w_t, gram))
     chi = s_e - np.sum(p_b * s_cond, axis=-1)
     chi = np.clip(chi, 0.0, None)
     return beta * i_ab - chi, i_ab, chi
@@ -209,7 +204,7 @@ def dh_rate(t, beta, alpha2=None, nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResul
         gram = coherent_overlap_matrix(math.sqrt(1.0 - t) * amps)
         wk = np.where(pb[None] > 0, pk / (4.0 * pb[None]), 0.25)  # (k, x, y)
         wk = np.moveaxis(wk, 0, -1).reshape(-1, 4)
-        s_cond = _eve_entropy_given_outcomes(wk, gram).reshape(nodes, nodes)
+        s_cond = _entropy_batch(_weighted_gram(wk, gram)).reshape(nodes, nodes)
         chi = s_e - float(np.sum(w2 * pb * s_cond))
         return i_ab, max(chi, 0.0)
 

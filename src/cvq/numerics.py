@@ -2,15 +2,14 @@
 
 Bounded derivative-free minimization (grid-seeded Nelder-Mead with
 restarts), grid-bracketed golden-section maximization in one positive
-variable, bracketed root finding, Gauss-Hermite and composite Simpson
-quadrature, and Hermitian matrix square roots.  Everything here is pure
-and reproducible: no random number generator is ever consulted.
+variable, bracketed root finding, composite Simpson quadrature, and
+Hermitian matrix square roots.  Everything here is pure and
+reproducible: no random number generator is ever consulted.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy import linalg, optimize
@@ -172,39 +171,6 @@ def bisect_root(f, a, b, tol=1e-10, max_iter=200):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-def gauss_hermite_nodes(order):
-    """Nodes/weights for integrals against exp(-t^2) on the real line."""
-    return np.polynomial.hermite.hermgauss(order)
-
-
-def gaussian_average(f, sigma, order=80, check=True, check_tol=1e-8):
-    """Average of ``f(phi)`` against a zero-mean normal of std ``sigma``.
-
-    Uses Gauss-Hermite quadrature of the given order; per the adaptive
-    policy, the order is doubled once and a :class:`PrecisionWarning` is
-    raised when the two estimates disagree beyond ``check_tol``.  The
-    function ``f`` must accept numpy arrays.
-    """
-    if sigma == 0.0:
-        return f(np.zeros(1))[0] if np.ndim(f(np.zeros(1))) else float(f(0.0))
-
-    def estimate(n):
-        t, w = gauss_hermite_nodes(n)
-        return float(np.sum(w * f(np.sqrt(2.0) * sigma * t)) / np.sqrt(np.pi))
-
-    val = estimate(order)
-    if check:
-        val2 = estimate(2 * order)
-        if abs(val2 - val) > check_tol:
-            warnings.warn(
-                f"Gauss-Hermite order {order} not converged "
-                f"(delta={abs(val2 - val):.2e})",
-                PrecisionWarning,
-            )
-        return val2
-    return val
 
 
 def simpson_integral(f, a, b, n_points=2001, refine=True):

@@ -20,7 +20,6 @@ from . import gaussian as gs
 from .numerics import (
     PrecisionWarning,
     bisect_root,
-    hermitian_sqrt,
     maximize_scalar,
     minimize_bounded,
     simpson_integral,
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 LOG2E = 1.0 / math.log(2.0)
+GRAM_FLOOR = 1e-15  # Gram eigenvalues below GRAM_FLOOR * max are dropped
 
 
 @dataclass(frozen=True)
@@ -264,27 +264,6 @@ def psk_mutual_information(m, alpha2, channel, n_points=2001):
     return h_b - 0.5 * math.log2(2.0 * math.pi * math.e * var)
 
 
-def _z_penalty_terms(rho, a_op, probs, alpha_vecs):
-    """w-term of the nonlinear-channel correlation bound (flagged)."""
-    w_eig, v_eig = np.linalg.eigh(rho)
-    keep = w_eig > 1e-10
-    if not np.all(keep):
-        warnings.warn(
-            "rho^(-1/2) acts on a near-null subspace; penalty uses a "
-            "pseudo-inverse there",
-            PrecisionWarning,
-        )
-    inv_sqrt = (v_eig[:, keep] / np.sqrt(w_eig[keep])) @ v_eig[:, keep].conj().T
-    sqrt = (v_eig * np.sqrt(np.clip(w_eig, 0.0, None))) @ v_eig.conj().T
-    a_rho = sqrt @ a_op @ inv_sqrt
-    w = 0.0
-    for p, vec in zip(probs, alpha_vecs):
-        av = a_rho @ vec
-        mean = vec.conj() @ av
-        w += p * float(np.real(av.conj() @ av - abs(mean) ** 2))
-    return w
-
-
 def psk_kgr(m, channel: ChannelParams, beta, alpha2=None,
             alpha2_box=(1e-3, 4.0), z_penalty=False) -> KgrResult:
     """PSK(M in {4, 8, ...} or 'inf') key rate under the Gaussian bound.
@@ -304,14 +283,10 @@ def psk_kgr(m, channel: ChannelParams, beta, alpha2=None,
         else:
             z = psk_correlation(m, a2)
         if z_penalty and eps > 0.0 and m != "inf":
-            cutoff = max(20, int(np.ceil(4.0 * (a2 + 2.0))))
             amps = math.sqrt(a2) * np.exp(
                 1j * np.pi * (2 * np.arange(m) + 1) / m
             )
-            vecs = gs.coherent_fock_vector(amps, cutoff)
-            rho = (vecs.T / m) @ vecs.conj()
-            a_op = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
-            w = _z_penalty_terms(rho, a_op, np.full(m, 1.0 / m), vecs)
+            _, w = _mixture_z(amps, np.full(m, 1.0 / m), penalty=True)
             z = max(z - math.sqrt(max(2.0 * t * eps * w, 0.0)) / math.sqrt(t), 0.0)
         v = 1.0 + 2.0 * a2
         i_ab = psk_mutual_information(m, a2, channel)
@@ -376,15 +351,14 @@ def _qam_delta(m_side, nbar, xi):
 
 
 def _qam_delta_max(m_side):
-    """Largest spacing whose corner symbols fit inside ``gs.FOCK_CAP``.
+    """Spacing box end: the corner symbols hold 2 (l_max delta)^2 = 100 photons.
 
-    The corner photon number 2 (l_max delta)^2 is held to FOCK_CAP / 2,
-    where a coherent state's number distribution beyond the cap is below
-    1e-13, so whatever the MB weights the Fock defect meets its 1e-11
-    target before the cap.
+    Z needs no Fock cutoff (``_mixture_z``), so this end bounds the MB
+    search rather than a numerical method; widening it changes the
+    optimum the search can reach.
     """
     l_max = (m_side - 1) / 2.0
-    return math.sqrt(gs.FOCK_CAP / 4.0) / l_max
+    return math.sqrt(50.0) / l_max
 
 
 def _qam_rho_z(m_side, delta, xi):
@@ -393,27 +367,7 @@ def _qam_rho_z(m_side, delta, xi):
     w1 = _mb_weights(levels, delta, xi)
     xs = levels * delta
     amps = (xs[:, None] + 1j * xs[None, :]).ravel()
-    probs = np.outer(w1, w1).ravel()
-    significant = probs > 1e-18
-    peak = np.max(np.abs(amps[significant])) ** 2
-    cutoff = max(10, min(int(np.ceil(4.0 * (peak + 1.0))), gs.FOCK_CAP))
-    while True:
-        vecs = gs.coherent_fock_vector(amps, cutoff)
-        rho = np.einsum("k,kn,km->nm", probs, vecs, vecs.conj())
-        defect = 1.0 - float(np.real(np.trace(rho)))
-        if defect < 1e-11 or cutoff >= gs.FOCK_CAP:
-            break
-        cutoff *= 2
-    if defect >= 1e-11:
-        warnings.warn(
-            f"QAM Fock cutoff cap reached at delta={delta:.6g}, xi={xi:.6g} "
-            f"(defect {defect:.1e})",
-            PrecisionWarning,
-        )
-    sq, _ = hermitian_sqrt(rho)
-    a_op = np.diag(np.sqrt(np.arange(1, cutoff + 1)), k=1)
-    z = 2.0 * float(np.real(np.trace(sq @ a_op @ sq @ a_op.conj().T)))
-    return z, w1, xs
+    return _mixture_z(amps, np.outer(w1, w1).ravel()), w1, xs
 
 
 def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
@@ -425,8 +379,8 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
     searched over the spacing delta and the inverse temperature xi, and
     the mean photon number nbar = 2 delta^2 sum_l w_l l^2 follows from
     them (xi -> 0 recovers the uniform grid, large xi collapses onto the
-    innermost QPSK square).  The delta box keeps every probed
-    constellation inside ``gs.FOCK_CAP``.  For MB sampling ``nbar`` and
+    innermost QPSK square).  The delta box ends where the corner symbols
+    hold 100 photons (``_qam_delta_max``).  For MB sampling ``nbar`` and
     ``xi`` are pinned together, which evaluates a single constellation.
     """
     if m_side not in (2, 4, 8):
@@ -559,15 +513,47 @@ def coherent_overlap_matrix(amplitudes):
     )
 
 
+def _weighted_gram(weights, gram):
+    """diag(sqrt w) gram diag(sqrt w), batched over the leading axes of w."""
+    sq = np.sqrt(np.clip(weights, 0.0, None))
+    return sq[..., :, None] * gram * sq[..., None, :]
+
+
 def _coherent_mixture_eigs(weights, gram):
     """Eigenvalues of sum_k c_k |a_k><a_k| from diag(c) G."""
-    w = np.asarray(weights, dtype=float)
-    sq = np.sqrt(np.clip(w, 0.0, None))
-    h = sq[:, None] * gram * sq[None, :]
-    ev = np.linalg.eigvalsh(h)
+    ev = np.linalg.eigvalsh(_weighted_gram(weights, gram))
     if np.min(ev) < -1e-9:
         raise FloatingPointError(f"mixture eigenvalue {np.min(ev)} < 0")
     return np.clip(ev, 0.0, None)
+
+
+def _mixture_z(amps, probs, penalty=False):
+    """Z = 2 tr[rho^(1/2) a rho^(1/2) a^dag] of rho = sum_k p_k |a_k><a_k|.
+
+    rho lives in the span of its coherent states, which a maps into
+    itself (Kato, Osaki, Sasaki and Hirota, IEEE Trans. Commun. 47, 248
+    (1999)).  With G = P^(1/2) Gamma P^(1/2) = W Lambda W^dag, Gamma the
+    overlap matrix and D = diag(a_k), M = W^dag G D W gives
+    Z = 2 sum_ij |M_ij|^2 / sqrt(lambda_i lambda_j) over the eigenvalues
+    above ``GRAM_FLOOR`` lambda_max.  With ``penalty`` (positive weights
+    only) it returns (Z, w), w = sum_k p_k Var_k(A) the term of the
+    nonlinear-channel bound: A = rho^(1/2) a rho^(-1/2) is M Lambda^-1
+    in the range basis, where sqrt(p_k)|a_k> is Lambda^(1/2) W^dag e_k.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    g = _weighted_gram(probs, coherent_overlap_matrix(amps))
+    lam, vec = np.linalg.eigh(g)
+    keep = lam > GRAM_FLOOR * lam[-1]
+    lam, vec = lam[keep], vec[:, keep]
+    m = vec.conj().T @ (g * amps) @ vec
+    r = lam ** -0.25
+    z = 2.0 * float(np.sum(np.abs(r[:, None] * m * r[None, :]) ** 2))
+    if not penalty:
+        return z
+    u = np.sqrt(lam)[:, None] * vec.conj().T
+    au = (m / lam) @ u
+    mean = np.sum(u.conj() * au, axis=0)
+    return z, float(np.sum(np.abs(au) ** 2) - np.sum(np.abs(mean) ** 2 / probs))
 
 
 def mixture_entropy(weights, components) -> float:
@@ -665,9 +651,7 @@ def _wiretap_pure(alpha2, channel, beta, n_nodes):
     )
     pb = 0.25 * pxk.sum(axis=0)
     wk = np.where(pb[None, :] > 0.0, 0.25 * pxk / pb[None, :], 0.25)
-    sq = np.sqrt(wk.T)  # (nodes, 4)
-    h = sq[:, :, None] * gram[None, :, :] * sq[:, None, :]
-    s_cond = _entropy_batch(h)
+    s_cond = _entropy_batch(_weighted_gram(wk.T, gram))  # (nodes,)
     integrand = 2.0 * pb * s_cond  # symmetric in x_B
     weights = np.ones_like(xs)
     weights[1:-1:2] = 4.0
@@ -789,12 +773,13 @@ def max_excess_noise(kgr_of_eps, lo=1e-4, hi=0.5, tol=1e-4):
 
     ``kgr_of_eps`` maps an excess-noise value to the optimized key rate.
     Returns 0 if even ``lo`` gives a non-positive rate; bisection
-    otherwise (tolerance 1e-4 on eps).
+    otherwise (tolerance 1e-4 on eps).  ``hi`` doubles while the rate
+    there is positive; past eps = 1 that raises ValueError instead.
     """
     if kgr_of_eps(lo) <= 0.0:
         return 0.0
     while kgr_of_eps(hi) > 0.0:
+        if hi > 1.0:
+            raise ValueError(f"key rate still positive at excess noise {hi:.6g}")
         hi *= 2.0
-        if hi > 2.0:
-            return hi
     return bisect_root(lambda e: kgr_of_eps(e), lo, hi, tol=tol)

@@ -6,7 +6,6 @@ import pytest
 from cvq import numerics
 from cvq.numerics import (
     bisect_root,
-    gaussian_average,
     golden_min,
     hermitian_sqrt,
     maximize_scalar,
@@ -126,12 +125,6 @@ class TestQuadrature:
             lambda x: np.exp(-(x**2) / 2) / math.sqrt(2 * math.pi), -10, 10
         )
         assert abs(val - 1.0) < 1e-12
-
-    def test_gauss_hermite_cosine_oracle(self):
-        # E[cos(phi)] = exp(-sigma^2/2) for phi ~ N(0, sigma^2)
-        for sigma in (0.1, 0.4, 1.2):
-            val = gaussian_average(np.cos, sigma)
-            assert abs(val - math.exp(-(sigma**2) / 2)) < 1e-10
 
     def test_simpson_refinement_order(self):
         f = lambda x: np.sin(x) ** 2 * np.exp(-x)

@@ -85,6 +85,38 @@ class TestPsk:
         oracle = 2.0 * float(np.real(np.trace(sq @ a_op @ sq @ a_op.conj().T)))
         assert abs(qkd.psk_correlation(m, a2) - oracle) < 1e-9
 
+    def test_gram_z_matches_closed_form(self):
+        for m in (4, 8):
+            for a2 in (0.01, 0.3, 2.0):
+                amps = math.sqrt(a2) * np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m)
+                z = qkd._mixture_z(amps, np.full(m, 1.0 / m))
+                assert abs(z / qkd.psk_correlation(m, a2) - 1.0) < 1e-12
+
+    def test_gram_penalty_matches_fock_construction(self):
+        # w = sum_k p_k Var_k(A), A = rho^(1/2) a rho^(-1/2), built in Fock space
+        m, cutoff = 4, 60
+        for a2 in (0.5, 2.0):
+            amps = math.sqrt(a2) * np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m)
+            vecs = oracles.coherent_fock(amps, cutoff)
+            rho = (vecs.T / m) @ vecs.conj()
+            lam, v = np.linalg.eigh(rho)
+            keep = lam > 1e-10
+            inv_sqrt = (v[:, keep] / np.sqrt(lam[keep])) @ v[:, keep].conj().T
+            sq = (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
+            a_op = np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), k=1)
+            av = vecs @ (sq @ a_op @ inv_sqrt).T  # row k: A|a_k>
+            mean = np.sum(vecs.conj() * av, axis=1)
+            w_fock = float(np.sum(np.abs(av) ** 2) - np.sum(np.abs(mean) ** 2)) / m
+            _, w = qkd._mixture_z(amps, np.full(m, 1.0 / m), penalty=True)
+            assert abs(w / w_fock - 1.0) < 1e-12
+
+    def test_z_penalty_quiet_and_below_linear(self):
+        ch = qkd.ChannelParams.from_distance(30, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            pen = qkd.psk_kgr(4, ch, BETA, alpha2=0.3, z_penalty=True)
+        assert pen.K < qkd.psk_kgr(4, ch, BETA, alpha2=0.3).K
+
     def test_qpsk_below_gg02(self):
         ch = qkd.ChannelParams.from_distance(40, 0.01)
         assert qkd.psk_kgr(4, ch, BETA).K < qkd.gg02_kgr(ch, BETA).K
@@ -153,6 +185,14 @@ class TestQam:
         for xi in (0.05, 0.2, 1.0):
             e = [qkd._qam_energy(8, d, xi) for d in deltas]
             assert np.all(np.diff(e) > 0.0)
+
+    def test_rho_z_matches_fock_oracle(self):
+        for delta, xi in ((0.069, 0.0), (0.3, 0.0), (0.6, 1.5), (1.0, 0.3)):
+            z, w1, xs = qkd._qam_rho_z(8, delta, xi)
+            amps = (xs[:, None] + 1j * xs[None, :]).ravel()
+            z_or, defect = oracles.fock_z(amps, np.outer(w1, w1).ravel())
+            assert abs(defect) < 1e-13
+            assert abs(z / z_or - 1.0) < 1e-12
 
     def test_rejects_half_pinned_mb(self):
         ch = qkd.ChannelParams.from_distance(40, 0.01)
@@ -328,6 +368,10 @@ class TestMaxExcessNoise:
         e_max = qkd.max_excess_noise(k_of_eps, hi=0.2)
         delta = 1e-3
         assert k_of_eps(e_max - delta) > 0.0 > k_of_eps(e_max + delta)
+
+    def test_rate_positive_everywhere_raises(self):
+        with pytest.raises(ValueError, match="still positive"):
+            qkd.max_excess_noise(lambda e: 1.0)
 
     def test_decreasing_with_distance(self):
         vals = []
