@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gaussian as gs
 from . import mary
-from .numerics import maximize_scalar
+from .numerics import maximize_scalar, simpson_weights
 from .qkd import (
     KgrResult,
     _entropy_batch,
@@ -192,8 +192,7 @@ def dh_rate(t, beta, alpha2=None, nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResul
         # mutual information
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = np.where(pb > 0, -pb * np.log2(np.where(pb > 0, pb, 1.0)), 0.0)
-        wts = np.ones(nodes)
-        wts[1:-1:2], wts[2:-1:2] = 4.0, 2.0
+        wts = simpson_weights(nodes)
         step = xs[1] - xs[0]
         w2 = np.outer(wts, wts) * step * step / 9.0
         h_b = float(np.sum(w2 * integrand))

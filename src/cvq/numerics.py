@@ -2,9 +2,9 @@
 
 Bounded derivative-free minimization (grid-seeded Nelder-Mead with
 restarts), grid-bracketed golden-section maximization in one positive
-variable, bracketed root finding, composite Simpson quadrature, and
-Hermitian matrix square roots.  Everything here is pure and
-reproducible: no random number generator is ever consulted.
+variable, bracketed root finding, composite Simpson quadrature and
+weights, and Hermitian matrix square roots.  Everything here is pure
+and reproducible: no random number generator is ever consulted.
 """
 
 from __future__ import annotations
@@ -196,6 +196,19 @@ def simpson_integral(f, a, b, n_points=2001, refine=True):
     fine = _simpson(f(x2), x2)
     value = (16.0 * fine - coarse) / 15.0
     return value, abs(fine - coarse)
+
+
+def simpson_weights(n):
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on ``n`` (odd) nodes.
+
+    The caller scales them by step / 3 (per axis).
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd node count >= 3, got {n}")
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
 
 
 def _simpson(y, x):

@@ -23,6 +23,7 @@ from .numerics import (
     maximize_scalar,
     minimize_bounded,
     simpson_integral,
+    simpson_weights,
 )
 
 __all__ = [
@@ -42,6 +43,9 @@ __all__ = [
 
 LOG2E = 1.0 / math.log(2.0)
 GRAM_FLOOR = 1e-15  # Gram eigenvalues below GRAM_FLOOR * max are dropped
+# per-mode cutoff cap of Eve's two-mode Fock expansion (31^2-dim matrices);
+# gs.FOCK_CAP would mean 201^2-dim ones, tens of GB for four states
+WIRETAP_FOCK_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -635,7 +639,29 @@ def _entropy_batch(mats):
     return _entropy_rows(np.clip(ev, 0.0, None))
 
 
-def _wiretap_pure(alpha2, channel, beta, n_nodes):
+def _displaced_mixture_entropy(cm, fms, weights):
+    """Entropies (bits) of mixtures of displaced copies of one pure state.
+
+    Row r is sum_k w_rk D(d_rk)|psi><psi|D(d_rk)^dag, with |psi> the
+    zero-mean pure Gaussian state of CM ``cm``, d_rk = ``fms[r, k]`` and
+    w_rk = ``weights[r, k]``.  The mixture has rank K and the spectrum of
+    its K x K weighted Gram matrix (Kato, Osaki, Sasaki and Hirota, IEEE
+    Trans. Commun. 47, 248 (1999)), with the overlaps
+    G_kl = exp(-D^T cm^-1 D / 8 + i d_k^T Omega d_l / 4), D = d_l - d_k.
+    cm^-1 = Omega^T cm Omega holds only for a pure cm, so a mixed one
+    raises ValueError.
+    """
+    nus = gs.symplectic_eigenvalues(cm)
+    if np.max(np.abs(nus - 1.0)) > gs.PHYS_TOL:
+        raise ValueError(f"Gram entropy needs a pure state; symplectic eigenvalues {nus}")
+    diff = fms[..., None, :, :] - fms[..., :, None, :]  # [k, l] = d_l - d_k
+    quad = np.einsum("...kli,ij,...klj->...kl", diff, np.linalg.inv(cm), diff)
+    phase = np.einsum("...ki,ij,...lj->...kl", fms, gs.omega(cm.shape[0] // 2), fms)
+    gram = np.exp(-quad / 8.0 + 0.25j * phase)
+    return _entropy_batch(_weighted_gram(weights, gram))
+
+
+def _wiretap_pure(alpha2, channel, n_nodes):
     t = channel.T
     amps = _qpsk_amps(alpha2)
     eve = math.sqrt(1.0 - t) * amps
@@ -653,16 +679,13 @@ def _wiretap_pure(alpha2, channel, beta, n_nodes):
     wk = np.where(pb[None, :] > 0.0, 0.25 * pxk / pb[None, :], 0.25)
     s_cond = _entropy_batch(_weighted_gram(wk.T, gram))  # (nodes,)
     integrand = 2.0 * pb * s_cond  # symmetric in x_B
-    weights = np.ones_like(xs)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
     step = xs[1] - xs[0]
-    s_eb = float(np.sum(weights * integrand) * step / 3.0)
+    s_eb = float(np.sum(simpson_weights(n_nodes) * integrand) * step / 3.0)
     chi = s_e - s_eb
     return chi
 
 
-def _wiretap_thermal(alpha2, channel, beta, n_nodes, cutoff=None):
+def _wiretap_thermal(alpha2, channel, n_nodes):
     t, eps = channel.T, channel.eps
     v_eps = 1.0 + t * eps / (1.0 - t) if t < 1.0 else 1.0
     amps = _qpsk_amps(alpha2)
@@ -679,26 +702,32 @@ def _wiretap_thermal(alpha2, channel, beta, n_nodes, cutoff=None):
     # Bob homodyne-q statistics
     var_b = cm[0, 0]
     means = fms[:, 0]
-    # Eve marginal: modes (E1, E2)
+    # Eve marginal: modes (E1, E2), in the Fock basis.  The cutoff grows
+    # by 2, not doubling: the tail already falls 10-1000x per step
     idx_e = np.array([2, 3, 4, 5])
     cm_e = cm[np.ix_(idx_e, idx_e)]
     fm_e = fms[:, idx_e]
-    if cutoff is None:
-        nb = max(
-            gs.mean_photons(gs.GaussianState(f, cm_e, check=False)) / 2.0
-            for f in fm_e
+    nb = max(
+        gs.mean_photons(gs.GaussianState(f, cm_e, check=False)) / 2.0
+        for f in fm_e
+    )
+    cutoff = min(max(6, int(np.ceil(4.0 * (nb + 1.0))) + 2), WIRETAP_FOCK_CAP)
+    while True:
+        rho_bar = gs._fock_batch(cm_e, fm_e, (cutoff, cutoff)).mean(axis=0)
+        tail = 1.0 - float(np.real(np.trace(rho_bar)))
+        if tail < gs.FOCK_TAIL_TOL or cutoff >= WIRETAP_FOCK_CAP:
+            break
+        cutoff = min(cutoff + 2, WIRETAP_FOCK_CAP)
+    if tail >= gs.FOCK_TAIL_TOL:
+        warnings.warn(
+            f"wiretap Fock cutoff cap {WIRETAP_FOCK_CAP} reached (tail {tail:.1e})",
+            PrecisionWarning,
         )
-        cutoff = max(6, int(np.ceil(4.0 * (nb + 1.0))) + 2)
-    rho_e = gs._fock_batch(cm_e, fm_e, (cutoff, cutoff))
-    rho_bar = rho_e.mean(axis=0)
-    tail = 1.0 - float(np.real(np.trace(rho_bar)))
-    if tail > 1e-7:
-        warnings.warn(f"wiretap Fock tail {tail:.1e}", PrecisionWarning)
     s_e = float(_entropy_batch(rho_bar[None])[0])
-    # conditional states given Bob's outcome
+    # conditional states given Bob's outcome: displaced copies of one
+    # pure state, since the dilation is pure for each symbol
     state = gs.GaussianState(np.zeros(6), cm, check=False)
     cond = gs.condition_on_measurement(state, gs.HOMODYNE_Q, measured_mode=0)
-    cm_cond = cond.cm
     gain = cm[np.ix_(idx_e, [0])][:, 0] / var_b  # sigma_EB * pinv
     xmax = np.max(np.abs(means)) + 8.0 * math.sqrt(var_b)
     xs = np.linspace(0.0, xmax, n_nodes)
@@ -707,22 +736,13 @@ def _wiretap_thermal(alpha2, channel, beta, n_nodes, cutoff=None):
     )
     pb = 0.25 * pxk.sum(axis=0)
     wk = np.where(pb[None, :] > 0.0, 0.25 * pxk / pb[None, :], 0.25)  # (4, nodes)
-    # conditional FMs, batched over (node, k)
     cond_fms = (
         fm_e[None, :, :] + gain[None, None, :] * (xs[:, None, None] - means[None, :, None])
     )  # (nodes, 4, 4dims)
-    flat = cond_fms.reshape(-1, 4)
-    rho_cond = gs._fock_batch(cm_cond, flat, (cutoff, cutoff))
-    dim = rho_cond.shape[-1]
-    rho_cond = rho_cond.reshape(len(xs), 4, dim, dim)
-    mix = np.einsum("kn,nkij->nij", wk, rho_cond)
-    s_cond = _entropy_batch(mix)
+    s_cond = _displaced_mixture_entropy(cond.cm, cond_fms, wk.T)
     integrand = 2.0 * pb * s_cond
-    weights = np.ones_like(xs)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
     step = xs[1] - xs[0]
-    s_eb = float(np.sum(weights * integrand) * step / 3.0)
+    s_eb = float(np.sum(simpson_weights(n_nodes) * integrand) * step / 3.0)
     return s_e - s_eb
 
 
@@ -733,9 +753,13 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
 
     loss_model='pure' treats the channel as pure loss (requires eps = 0)
     and evaluates Eve's entropies exactly through coherent-mixture
-    spectra; 'thermal' runs the entangling-cloner dilation with Eve's
-    two-mode Gaussian mixtures expanded in the Fock basis and the
-    conditional entropy integrated over Bob's outcome by Simpson's rule.
+    spectra; 'thermal' runs the entangling-cloner dilation.  There Eve's
+    unconditional two-mode mixture, S(E), is expanded in the Fock basis,
+    its cutoff grown until the tail drops below ``gs.FOCK_TAIL_TOL``.
+    Her states conditioned on Bob's homodyne outcome are displaced
+    copies of one pure Gaussian state, so each conditional entropy comes
+    from a 4 x 4 Gram spectrum; both models integrate it over Bob's
+    outcome by Simpson's rule.
     """
     if loss_model not in ("pure", "thermal"):
         raise ValueError("loss_model must be 'pure' or 'thermal'")
@@ -747,9 +771,9 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
     def parts(a2):
         i_ab = psk_mutual_information(4, a2, channel)
         if loss_model == "pure":
-            chi = _wiretap_pure(a2, channel, beta, n_nodes)
+            chi = _wiretap_pure(a2, channel, n_nodes)
         else:
-            chi = _wiretap_thermal(a2, channel, beta, n_nodes)
+            chi = _wiretap_thermal(a2, channel, n_nodes)
         return i_ab, max(chi, 0.0)
 
     def key_rate(a2):

@@ -8,7 +8,10 @@ construction that shares no code with ``cvq.qkd``:
 * I_AB from the homodyne outcome density integrated by adaptive
   ``scipy.integrate.quad``;
 * chi_BE from the closed-form symplectic eigenvalues of the two-mode CM
-  and of Alice's mode conditioned on Bob's q-homodyne outcome.
+  and of Alice's mode conditioned on Bob's q-homodyne outcome;
+* Eve's conditional entropies in the thermal wiretap model from two-mode
+  Fock matrices (``cvq.gaussian``'s Fock expansion) and a dense
+  ``numpy`` eigvalsh, the construction the Gram kernel replaced.
 
 Shot-noise units, V = 1 + 2 nbar, reverse reconciliation, and excess
 noise referred to the channel input (chi = (1 - T)/T + eps), as in the
@@ -19,6 +22,8 @@ import math
 
 import numpy as np
 from scipy import integrate
+
+from cvq import gaussian as gs
 
 
 def coherent_fock(alphas, cutoff):
@@ -132,3 +137,20 @@ def qam_scan(side, channel, beta, deltas, xis):
             if k > best[0]:
                 best = (k, float(d), float(x))
     return best
+
+
+def fock_conditional_entropy(cm_cond, cond_fms, wk, cutoff):
+    """(entropies, largest trace defect) of sum_k w_nk rho(cm_cond, d_nk).
+
+    ``cond_fms`` is (nodes, K, 4) and ``wk`` (nodes, K): each node's
+    mixture of two-mode Gaussian states is expanded at ``cutoff`` photons
+    per mode and diagonalized densely.
+    """
+    nodes, k = wk.shape
+    rho = gs._fock_batch(cm_cond, cond_fms.reshape(nodes * k, -1), (cutoff, cutoff))
+    mix = np.einsum("nk,nkij->nij", wk, rho.reshape(nodes, k, *rho.shape[1:]))
+    defect = float(np.max(1.0 - np.real(np.trace(mix, axis1=1, axis2=2))))
+    ev = np.clip(np.linalg.eigvalsh(mix), 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -np.sum(np.where(ev > 0.0, ev * np.log2(np.where(ev > 0.0, ev, 1.0)), 0.0), axis=-1)
+    return s, defect

@@ -89,3 +89,13 @@ class TestCliProcess:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         ks = np.array([float(r.split(",")[1]) for r in rows])
         assert ks[0] > 0  # key at short distance
+
+    def test_wiretap_fast_row_quiet(self, tmp_path):
+        out = tmp_path / "w.csv"
+        rc = cli.main(
+            ["wiretap-qpsk", "--profile", "fast", "--out", str(out),
+             "--key", "d_min=5", "--key", "d_max=5", "--key", "points=1"]
+        )
+        assert rc == 0  # a PrecisionWarning would give exit code 2
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 1

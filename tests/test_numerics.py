@@ -11,6 +11,7 @@ from cvq.numerics import (
     maximize_scalar,
     minimize_bounded,
     simpson_integral,
+    simpson_weights,
 )
 
 
@@ -134,6 +135,17 @@ class TestQuadrature:
         best, _ = simpson_integral(f, 0.0, 3.0, n_points=2001, refine=True)
         # halving the step shrinks the error by about 2^4
         assert abs(fine - best) < abs(coarse - best) / 12.0
+
+    def test_simpson_weights_integrate_cubic_exactly(self):
+        xs = np.linspace(-1.0, 2.0, 7)
+        cubic = 2.0 * xs**3 - xs**2 + 3.0
+        val = np.sum(simpson_weights(7) * cubic) * (xs[1] - xs[0]) / 3.0
+        assert abs(val - 13.5) < 1e-13  # [x^4/2 - x^3/3 + 3x] from -1 to 2
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_simpson_weights_reject_bad_count(self, n):
+        with pytest.raises(ValueError, match="odd"):
+            simpson_weights(n)
 
 
 class TestHermitianSqrt:

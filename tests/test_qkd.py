@@ -343,6 +343,53 @@ class TestWiretap:
         )
         assert abs(kp.K - kt.K) < 1e-6
 
+    @pytest.mark.parametrize("d", [5.0, 60.0])
+    def test_gram_kernel_matches_fock_oracle(self, d, monkeypatch):
+        seen = {}
+        kernel = qkd._displaced_mixture_entropy
+
+        def spy(cm, fms, weights):
+            seen.update(cm=cm, fms=fms, weights=weights)
+            seen["s"] = kernel(cm, fms, weights)
+            return seen["s"]
+
+        monkeypatch.setattr(qkd, "_displaced_mixture_entropy", spy)
+        qkd._wiretap_thermal(0.4, qkd.ChannelParams.from_distance(d, 0.02), 201)
+        nodes = [0, 60, 200]
+        s, defect = oracles.fock_conditional_entropy(
+            seen["cm"], seen["fms"][nodes], seen["weights"][nodes], 12
+        )
+        assert defect < 1e-11
+        assert np.max(np.abs(s - seen["s"][nodes])) < 1e-10
+
+    def test_gram_kernel_rejects_mixed_state(self):
+        fms = np.zeros((1, 4, 4))
+        fms[0, :, 0] = [0.0, 1.0, 2.0, 3.0]
+        weights = np.full((1, 4), 0.25)
+        qkd._displaced_mixture_entropy(np.eye(4), fms, weights)  # pure: accepted
+        with pytest.raises(ValueError, match="pure"):
+            qkd._displaced_mixture_entropy(np.diag([1.5, 1.5, 1.0, 1.0]), fms, weights)
+
+    def test_thermal_equals_pure_at_zero_noise(self, monkeypatch):
+        # at eps = 0 only S(E)'s Fock truncation separates the two paths;
+        # a 1e-14 tail keeps it below 1e-13 (at the default 1e-10 tail it
+        # reaches 7e-11 at these points)
+        monkeypatch.setattr(gs, "FOCK_TAIL_TOL", 1e-14)
+        for d in (5.0, 40.0, 80.0):
+            ch = qkd.ChannelParams.from_distance(d, 0.0)
+            for a2 in (0.3, 1.5, 2.0):
+                thermal = qkd._wiretap_thermal(a2, ch, 101)
+                assert abs(thermal - qkd._wiretap_pure(a2, ch, 101)) < 1e-12
+
+    def test_eve_cutoff_cap_warns_once(self, monkeypatch):
+        monkeypatch.setattr(qkd, "WIRETAP_FOCK_CAP", 9)
+        ch = qkd.ChannelParams.from_distance(40.0, 0.02)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            qkd._wiretap_thermal(2.0, ch, 101)
+        hits = [w for w in caught if issubclass(w.category, PrecisionWarning)]
+        assert len(hits) == 1 and "cap 9" in str(hits[0].message)
+
     def test_wiretap_beats_unconditional(self):
         ch = qkd.ChannelParams.from_distance(30, 0.02)
         kw = qkd.wiretap_qpsk_kgr(ch, BETA, "thermal", alpha2=0.35, n_nodes=121)
