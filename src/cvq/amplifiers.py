@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import gaussian as gs
 from .numerics import golden_min, maximize_scalar, minimize_bounded
@@ -346,17 +345,18 @@ def ideal_gain_bound(v, t, eps):
 # Gaussian characteristic-function algebra for the physical NLAs
 # ----------------------------------------------------------------------
 
-def _nla_charfn_terms(cm_ab, mix, ancilla_single, ancilla_vacuum):
+def _nla_charfn_terms(cm_ab, mix):
     """Initial characteristic function after the mode-mixing network.
 
-    Returns a list of (c, l, Q, M) terms in the mixed variables; the
-    single-photon polynomial factor is introduced *after* the linear
-    substitution so that every term stays exactly quadratic.
+    ``mix`` acts on (A, B, ancillas...) with the single-photon ancilla
+    at mode 2 and vacuum in any further mode.  Returns a one-term list
+    of (c, Q, M); the single-photon polynomial factor is introduced
+    *after* the linear substitution so that the term stays exactly
+    quadratic.
     """
-    n_modes = 2 + len(ancilla_single) + len(ancilla_vacuum)
+    n_modes = mix.shape[0]
     n2 = 2 * n_modes
-    j1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    j = linalg.block_diag(*([j1] * n_modes))
+    j = gs.omega(n_modes)
     sigma = np.eye(n2)
     sigma[:4, :4] = cm_ab
     m0 = j.T @ sigma @ j
@@ -364,28 +364,17 @@ def _nla_charfn_terms(cm_ab, mix, ancilla_single, ancilla_vacuum):
     for jm in range(n_modes):
         for km in range(n_modes):
             r[2 * jm: 2 * jm + 2, 2 * km: 2 * km + 2] = mix.T[jm, km] * np.eye(2)
-    m_sub = r.T @ m0 @ r
-    terms = [(1.0, np.zeros(n2), np.zeros((n2, n2)), m_sub)]
-    # single-photon prefactor (1 - |alpha_s|^2) becomes, after substitution,
-    # 1 - |(M^T beta)_s|^2: quadratic with matrix -2 P_s conjugated by R
-    out = []
-    for c, l, q, m in terms:
-        polys = [None]
-        for s in ancilla_single:
-            p = np.zeros((n2, n2))
-            p[2 * s, 2 * s] = -2.0
-            p[2 * s + 1, 2 * s + 1] = -2.0
-            polys.append(r.T @ p @ r)
-        if len(ancilla_single) != 1:
-            raise ValueError("exactly one single-photon ancilla expected")
-        out.append((c, l, q + c * polys[1], m))
-    return out, n2
+    # single-photon prefactor (1 - |alpha_2|^2) becomes, after substitution,
+    # 1 - |(M^T beta)_2|^2: quadratic with matrix -2 P_2 conjugated by R
+    p = np.zeros((n2, n2))
+    p[4, 4] = p[5, 5] = -2.0
+    return [(1.0, r.T @ p @ r, r.T @ m0 @ r)]
 
 
 def _integrate_vars(terms, int_idx, keep_idx, measure_pairs):
     """Integrate Gaussian-polynomial terms over the selected variables."""
     new_terms = []
-    for c, l, q, m in terms:
+    for c, q, m in terms:
         mss = m[np.ix_(int_idx, int_idx)]
         msr = m[np.ix_(int_idx, keep_idx)]
         mrr = m[np.ix_(keep_idx, keep_idx)]
@@ -396,49 +385,37 @@ def _integrate_vars(terms, int_idx, keep_idx, measure_pairs):
         kk = -sig @ msr
         m_new = mrr - msr.T @ sig @ msr
         scale = (2.0**measure_pairs) / math.sqrt(det)
-        ls = l[int_idx]
-        lr = l[keep_idx]
         qss = q[np.ix_(int_idx, int_idx)]
         qsr = q[np.ix_(int_idx, keep_idx)]
         qrr = q[np.ix_(keep_idx, keep_idx)]
         c_new = c + 0.5 * float(np.trace(qss @ sig))
-        l_new = kk.T @ ls + lr
         cross = kk.T @ qsr
         q_new = kk.T @ qss @ kk + cross + cross.T + qrr
-        new_terms.append(
-            (scale * c_new, scale * l_new, scale * q_new, (m_new + m_new.T) / 2.0)
-        )
+        new_terms.append((scale * c_new, scale * q_new, (m_new + m_new.T) / 2.0))
     return new_terms
 
 
 def _restrict_vars(terms, zero_idx, keep_idx):
-    out = []
-    for c, l, q, m in terms:
-        out.append(
-            (
-                c,
-                l[keep_idx],
-                q[np.ix_(keep_idx, keep_idx)],
-                m[np.ix_(keep_idx, keep_idx)],
-            )
-        )
-    return out
+    return [
+        (c, q[np.ix_(keep_idx, keep_idx)], m[np.ix_(keep_idx, keep_idx)])
+        for c, q, m in terms
+    ]
 
 
 def _mul_gaussian(terms, idx, coeff, scale):
     out = []
-    for c, l, q, m in terms:
+    for c, q, m in terms:
         m2 = m.copy()
         for i in idx:
             m2[i, i] += coeff
-        out.append((scale * c, scale * l, scale * q, m2))
+        out.append((scale * c, scale * q, m2))
     return out
 
 
 def _charfn_cm(terms):
     """Covariance matrix (two modes) of an unnormalized char function."""
     p0 = sum(t[0] for t in terms)
-    hess = sum(np.asarray(q) - c * np.asarray(m) for c, l, q, m in terms)
+    hess = sum(np.asarray(q) - c * np.asarray(m) for c, q, m in terms)
     # variable layout per mode: (x, y); d/dy ~ q-quadrature, d/dx ~ -p
     sigma = np.zeros((4, 4))
     qmap = [1, 0, 3, 2]  # y_A, x_A, y_B, x_B
@@ -446,7 +423,6 @@ def _charfn_cm(terms):
     for a in range(4):
         for b in range(4):
             sigma[a, b] = -sign[a] * sign[b] * hess[qmap[a], qmap[b]] / p0
-    # reorder to (qA, pA, qB, pB)
     return p0, sigma
 
 
@@ -526,7 +502,7 @@ def physical_nla_cm(kind, v, t, eps, g, eta=1.0):
     off_coeff = (2.0 - eta) / eta
     if kind == "QS":
         mix = _qs_mixing(tau)
-        terms, n2 = _nla_charfn_terms(cm_ab, mix, ancilla_single=[2], ancilla_vacuum=[3])
+        terms = _nla_charfn_terms(cm_ab, mix)
         vars_b = [2, 3]
         vars_b1 = [4, 5]
         keep_after = [0, 1, 6, 7]
@@ -538,17 +514,17 @@ def physical_nla_cm(kind, v, t, eps, g, eta=1.0):
         gauss_part = _integrate_vars(
             gauss_part, vars_b + vars_b1, keep_after, 2
         )
-        terms_out = delta_part + [(-c, -l, -q, m) for c, l, q, m in gauss_part]
+        terms_out = delta_part + [(-c, -q, m) for c, q, m in gauss_part]
         p_single, cm = _charfn_cm(terms_out)
         return cm, 2.0 * p_single
     mix = _spc_mixing(tau)
-    terms, n2 = _nla_charfn_terms(cm_ab, mix, ancilla_single=[2], ancilla_vacuum=[])
+    terms = _nla_charfn_terms(cm_ab, mix)
     vars_b1 = [4, 5]
     keep_after = [0, 1, 2, 3]
     delta_part = _restrict_vars(terms, vars_b1, keep_after)
     gauss_part = _mul_gaussian(terms, vars_b1, off_coeff, 1.0 / eta)
     gauss_part = _integrate_vars(gauss_part, vars_b1, keep_after, 1)
-    terms_out = delta_part + [(-c, -l, -q, m) for c, l, q, m in gauss_part]
+    terms_out = delta_part + [(-c, -q, m) for c, q, m in gauss_part]
     p_succ, cm = _charfn_cm(terms_out)
     return cm, p_succ
 

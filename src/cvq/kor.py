@@ -20,10 +20,9 @@ from . import mary
 from .numerics import maximize_scalar, simpson_weights
 from .qkd import (
     KgrResult,
-    _entropy_batch,
     _entropy_rows,
+    _posterior_entropy,
     _qpsk_amps,
-    _weighted_gram,
     coherent_overlap_matrix,
     qpsk_mixture_eigenvalues,
 )
@@ -64,20 +63,12 @@ def _rates_from_cond(cond, alpha2, t, beta):
     overlap matrix.
     """
     cond = np.asarray(cond, dtype=float)
-    p_b = cond.mean(axis=-2)  # (..., j)
-    i_ab = _entropy_rows(p_b) - _entropy_rows(cond).mean(axis=-1)
     ev_e = qpsk_mixture_eigenvalues((1.0 - t) * alpha2)
     s_e = float(_entropy_rows(ev_e[None])[0])
     gram = coherent_overlap_matrix(math.sqrt(1.0 - t) * _qpsk_amps(alpha2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(
-            p_b[..., None, :] > 0.0,
-            cond / (M_QPSK * np.where(p_b[..., None, :] > 0, p_b[..., None, :], 1.0)),
-            0.25,
-        )
-    # w[..., k, j] = p(k | outcome j); entropies batched over outcomes
-    w_t = np.swapaxes(w, -1, -2)  # (..., j, k)
-    s_cond = _entropy_batch(_weighted_gram(w_t, gram))
+    # likelihoods in the (..., outcome j, state k) layout
+    p_b, s_cond = _posterior_entropy(gram, np.swapaxes(cond, -1, -2))
+    i_ab = _entropy_rows(p_b) - _entropy_rows(cond).mean(axis=-1)
     chi = s_e - np.sum(p_b * s_cond, axis=-1)
     chi = np.clip(chi, 0.0, None)
     return beta * i_ab - chi, i_ab, chi
@@ -170,10 +161,10 @@ def dh_rate(t, beta, alpha2=None, nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResul
     """Double-homodyne baseline over the same wiretap channel.
 
     The conditional Eve entropy is a two-dimensional composite-Simpson
-    integral over both quadrature outcomes (grid mean +/- 7 sigma).
+    integral over both quadrature outcomes (grid mean +/- 7 sigma) on
+    ``nodes`` (odd) nodes per axis.
     """
-    if nodes % 2 == 0:
-        nodes += 1
+    wts = simpson_weights(nodes)
 
     def parts(a2):
         amps = _qpsk_amps(a2)
@@ -188,22 +179,18 @@ def dh_rate(t, beta, alpha2=None, nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResul
         pk = (
             px[:, :, None] * py[:, None, :] / (2.0 * math.pi * var)
         )  # (k, x, y)
-        pb = pk.mean(axis=0)
-        # mutual information
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(pb > 0, -pb * np.log2(np.where(pb > 0, pb, 1.0)), 0.0)
-        wts = simpson_weights(nodes)
-        step = xs[1] - xs[0]
-        w2 = np.outer(wts, wts) * step * step / 9.0
-        h_b = float(np.sum(w2 * integrand))
-        i_ab = h_b - math.log2(2.0 * math.pi * math.e * var)
         # Eve's side
         ev_e = qpsk_mixture_eigenvalues((1.0 - t) * a2)
         s_e = float(_entropy_rows(ev_e[None])[0])
         gram = coherent_overlap_matrix(math.sqrt(1.0 - t) * amps)
-        wk = np.where(pb[None] > 0, pk / (4.0 * pb[None]), 0.25)  # (k, x, y)
-        wk = np.moveaxis(wk, 0, -1).reshape(-1, 4)
-        s_cond = _entropy_batch(_weighted_gram(wk, gram)).reshape(nodes, nodes)
+        pb, s_cond = _posterior_entropy(gram, np.moveaxis(pk, 0, -1))
+        # mutual information
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(pb > 0, -pb * np.log2(np.where(pb > 0, pb, 1.0)), 0.0)
+        step = xs[1] - xs[0]
+        w2 = np.outer(wts, wts) * step * step / 9.0
+        h_b = float(np.sum(w2 * integrand))
+        i_ab = h_b - math.log2(2.0 * math.pi * math.e * var)
         chi = s_e - float(np.sum(w2 * pb * s_cond))
         return i_ab, max(chi, 0.0)
 
@@ -260,14 +247,13 @@ def canonical_phases(phases, decimals=9):
 
 
 def phases_in_paper_convention(phases):
-    """Re-express a phase tuple with the thesis's eigenvalue labels.
+    """Every tuple of the gauge orbit in the thesis's eigenvalue labels.
 
     The thesis attaches the free phases to the Gram eigenvalues with a
     circulant labeling that is cyclically shifted by one position with
-    respect to the DFT order used here; this helper returns, among the
-    shifted gauge orbit, the representative closest to the smallest
-    lexicographic form so that published tuples can be compared
-    directly.
+    respect to the DFT order used here.  Each member of the gauge orbit
+    is shifted and its own orbit returned, so ``matches_phase_tuple``
+    can compare a published tuple against all of them.
     """
     reps = phase_orbit(phases)
     mapped = []
@@ -275,9 +261,7 @@ def phases_in_paper_convention(phases):
         shifted = np.array([r[(t - 1) % M_QPSK] for t in range(M_QPSK)])
         shifted = np.mod(shifted - shifted[0], 2.0 * np.pi)
         mapped.extend(phase_orbit(shifted))
-    mapped = np.array(mapped)
-    order = np.lexsort(np.round(mapped, 9).T[::-1])
-    return mapped
+    return np.array(mapped)
 
 
 def matches_phase_tuple(phases, target, tol=0.05):

@@ -176,17 +176,16 @@ def bisect_root(f, a, b, tol=1e-10, max_iter=200):
 def simpson_integral(f, a, b, n_points=2001, refine=True):
     """Composite Simpson integral of a vectorized function on [a, b].
 
-    ``n_points`` must be odd.  With ``refine=True`` the step is halved
-    once and the two estimates are Richardson-combined (Simpson error is
-    O(h^4)); the refinement delta is available to callers via the second
-    return value.
+    ``n_points`` must be odd; an even count raises ValueError.  With
+    ``refine=True`` the step is halved once and the two estimates are
+    Richardson-combined (Simpson error is O(h^4)); the refinement delta
+    is available to callers via the second return value.
 
     Returns
     -------
     (value, error_estimate)
     """
-    if n_points % 2 == 0:
-        n_points += 1
+    simpson_weights(n_points)  # validates the node count
     x = np.linspace(a, b, n_points)
     y = f(x)
     coarse = _simpson(y, x)

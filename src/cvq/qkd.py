@@ -2,8 +2,8 @@
 
 Implements the GG02 pipeline, PSK(M)/PSK(inf) and QAM (uniform and
 Maxwell-Boltzmann sampled) protocols under the Gaussian-attack bound,
-the trusted-device QPSK variants, and the wiretap-channel QPSK rates
-(pure-loss and thermal-loss).  Key rates are reverse-reconciliation
+the trusted-device QPSK variants, and the wiretap-channel QPSK rate
+(pure or thermal loss).  Key rates are reverse-reconciliation
 Devetak-Winter lower bounds K = beta I_AB - chi_BE in bits per use.
 """
 
@@ -523,14 +523,6 @@ def _weighted_gram(weights, gram):
     return sq[..., :, None] * gram * sq[..., None, :]
 
 
-def _coherent_mixture_eigs(weights, gram):
-    """Eigenvalues of sum_k c_k |a_k><a_k| from diag(c) G."""
-    ev = np.linalg.eigvalsh(_weighted_gram(weights, gram))
-    if np.min(ev) < -1e-9:
-        raise FloatingPointError(f"mixture eigenvalue {np.min(ev)} < 0")
-    return np.clip(ev, 0.0, None)
-
-
 def _mixture_z(amps, probs, penalty=False):
     """Z = 2 tr[rho^(1/2) a rho^(1/2) a^dag] of rho = sum_k p_k |a_k><a_k|.
 
@@ -595,10 +587,8 @@ def mixture_entropy(weights, components) -> float:
             raise FloatingPointError("negative eigenvalue in Gaussian mixture")
         ev = ev[ev > 0.0]
         return float(-np.sum(ev * np.log2(ev)))
-    amps = np.asarray(comps, dtype=complex)
-    ev = _coherent_mixture_eigs(w, coherent_overlap_matrix(amps))
-    ev = ev[ev > 0.0]
-    return float(-np.sum(ev * np.log2(ev)))
+    gram = coherent_overlap_matrix(np.asarray(comps, dtype=complex))
+    return float(_entropy_batch(_weighted_gram(w, gram)))
 
 
 def qpsk_mixture_eigenvalues(energy):
@@ -635,75 +625,75 @@ def _entropy_batch(mats):
     """Von Neumann entropies (bits) of PSD matrices, batched over leading axes."""
     ev = np.linalg.eigvalsh(mats)
     if np.min(ev) < -1e-9:
-        raise FloatingPointError("negative eigenvalue in conditional mixture")
+        raise FloatingPointError("negative eigenvalue in a mixture spectrum")
     return _entropy_rows(np.clip(ev, 0.0, None))
 
 
-def _displaced_mixture_entropy(cm, fms, weights):
-    """Entropies (bits) of mixtures of displaced copies of one pure state.
+def _posterior_entropy(gram, lik):
+    """Bob's outcome probabilities and Eve's entropy given each outcome.
 
-    Row r is sum_k w_rk D(d_rk)|psi><psi|D(d_rk)^dag, with |psi> the
-    zero-mean pure Gaussian state of CM ``cm``, d_rk = ``fms[r, k]`` and
-    w_rk = ``weights[r, k]``.  The mixture has rank K and the spectrum of
-    its K x K weighted Gram matrix (Kato, Osaki, Sasaki and Hirota, IEEE
-    Trans. Commun. 47, 248 (1999)), with the overlaps
-    G_kl = exp(-D^T cm^-1 D / 8 + i d_k^T Omega d_l / 4), D = d_l - d_k.
-    cm^-1 = Omega^T cm Omega holds only for a pure cm, so a mixed one
-    raises ValueError.
+    ``lik[..., b, k]`` = p(b|k) for equiprobable symbols k whose states
+    Eve holds with Gram matrix ``gram``.  Returns (p(b), S(E|b)) with
+    S(E|b) the spectrum entropy of the Gram matrix weighted by the
+    posterior p(k|b) = p(b|k) / (K p(b)) (uniform where p(b) = 0).
+    """
+    n_sym = lik.shape[-1]
+    pb = lik.mean(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = np.where(pb[..., None] > 0.0, lik / (n_sym * pb[..., None]), 1.0 / n_sym)
+    return pb, _entropy_batch(_weighted_gram(post, gram))
+
+
+def _displaced_gram(cm, fms):
+    """Gram matrix of displaced copies D(d_k)|psi> of one pure state.
+
+    |psi> is the zero-mean pure Gaussian state of CM ``cm`` and d_k =
+    ``fms[k]``; G_kl = exp(-D^T cm^-1 D / 8 + i d_k^T Omega d_l / 4) with
+    D = d_l - d_k.  A mixture of these states has the spectrum of its
+    weighted G (Kato, Osaki, Sasaki and Hirota, IEEE Trans. Commun. 47,
+    248 (1999)).  cm^-1 = Omega^T cm Omega holds only for a pure cm, so a
+    mixed one raises ValueError.
     """
     nus = gs.symplectic_eigenvalues(cm)
     if np.max(np.abs(nus - 1.0)) > gs.PHYS_TOL:
         raise ValueError(f"Gram entropy needs a pure state; symplectic eigenvalues {nus}")
-    diff = fms[..., None, :, :] - fms[..., :, None, :]  # [k, l] = d_l - d_k
-    quad = np.einsum("...kli,ij,...klj->...kl", diff, np.linalg.inv(cm), diff)
-    phase = np.einsum("...ki,ij,...lj->...kl", fms, gs.omega(cm.shape[0] // 2), fms)
-    gram = np.exp(-quad / 8.0 + 0.25j * phase)
-    return _entropy_batch(_weighted_gram(weights, gram))
+    diff = fms[None, :, :] - fms[:, None, :]  # [k, l] = d_l - d_k
+    quad = np.einsum("kli,ij,klj->kl", diff, np.linalg.inv(cm), diff)
+    phase = np.einsum("ki,ij,lj->kl", fms, gs.omega(cm.shape[0] // 2), fms)
+    return np.exp(-quad / 8.0 + 0.25j * phase)
 
 
-def _wiretap_pure(alpha2, channel, n_nodes):
-    t = channel.T
+def _eve_pure_loss(alpha2, t):
+    """(G, S(E), Bob's means, Bob's variance) when Eve holds the reflected field."""
     amps = _qpsk_amps(alpha2)
-    eve = math.sqrt(1.0 - t) * amps
-    gram = coherent_overlap_matrix(eve)
-    s_e = mixture_entropy(np.full(4, 0.25), eve)
-    means = 2.0 * math.sqrt(t) * np.real(amps)
-    var = 1.0
-    sd = math.sqrt(var)
-    xmax = np.max(np.abs(means)) + 8.0 * sd
-    xs = np.linspace(0.0, xmax, n_nodes)
-    pxk = np.exp(-((xs[None, :] - means[:, None]) ** 2) / (2.0 * var)) / math.sqrt(
-        2.0 * math.pi * var
-    )
-    pb = 0.25 * pxk.sum(axis=0)
-    wk = np.where(pb[None, :] > 0.0, 0.25 * pxk / pb[None, :], 0.25)
-    s_cond = _entropy_batch(_weighted_gram(wk.T, gram))  # (nodes,)
-    integrand = 2.0 * pb * s_cond  # symmetric in x_B
-    step = xs[1] - xs[0]
-    s_eb = float(np.sum(simpson_weights(n_nodes) * integrand) * step / 3.0)
-    chi = s_e - s_eb
-    return chi
+    gram = coherent_overlap_matrix(math.sqrt(1.0 - t) * amps)
+    s_e = float(_entropy_batch(_weighted_gram(np.full(4, 0.25), gram)))
+    return gram, s_e, 2.0 * math.sqrt(t) * np.real(amps), 1.0
 
 
-def _wiretap_thermal(alpha2, channel, n_nodes):
+def _eve_dilation(alpha2, channel):
+    """(G, S(E), Bob's means, Bob's variance) of the entangling cloner.
+
+    Modes (B, E1, E2): Alice's coherent state meets one arm of a TMSV
+    at the channel's beam splitter.  S(E) expands Eve's two-mode mixture
+    in the Fock basis.  Given Bob's homodyne outcome x her states have
+    means d_k(x) = c_k + g x, c_k = fm_E,k - g m_k, g = sigma_EB / sigma_B.
+    The shift g x is common to all four symbols, a unitary, so the
+    conditional entropies come from the one Gram matrix of the c_k.
+    """
     t, eps = channel.T, channel.eps
     v_eps = 1.0 + t * eps / (1.0 - t) if t < 1.0 else 1.0
-    amps = _qpsk_amps(alpha2)
     tmsv = gs.make_state("tmsv", V=v_eps)
     cm0 = linalg.block_diag(np.eye(2), tmsv.cm)
     bs = gs.beam_splitter(t)
     s_full = linalg.block_diag(bs.x_mat, np.eye(2))
     cm = s_full @ cm0 @ s_full.T
-    fms = []
-    for a in amps:
-        fm0 = np.array([2 * a.real, 2 * a.imag, 0, 0, 0, 0])
-        fms.append(s_full @ fm0)
-    fms = np.array(fms)  # (4, 6), modes (B, E1, E2)
-    # Bob homodyne-q statistics
+    fms = np.array([s_full @ np.array([2 * a.real, 2 * a.imag, 0, 0, 0, 0])
+                    for a in _qpsk_amps(alpha2)])
     var_b = cm[0, 0]
     means = fms[:, 0]
-    # Eve marginal: modes (E1, E2), in the Fock basis.  The cutoff grows
-    # by 2, not doubling: the tail already falls 10-1000x per step
+    # Eve marginal: modes (E1, E2).  The cutoff grows by 2, not
+    # doubling: the tail already falls 10-1000x per step
     idx_e = np.array([2, 3, 4, 5])
     cm_e = cm[np.ix_(idx_e, idx_e)]
     fm_e = fms[:, idx_e]
@@ -723,27 +713,33 @@ def _wiretap_thermal(alpha2, channel, n_nodes):
             f"wiretap Fock cutoff cap {WIRETAP_FOCK_CAP} reached (tail {tail:.1e})",
             PrecisionWarning,
         )
-    s_e = float(_entropy_batch(rho_bar[None])[0])
-    # conditional states given Bob's outcome: displaced copies of one
-    # pure state, since the dilation is pure for each symbol
+    s_e = float(_entropy_batch(rho_bar))
     state = gs.GaussianState(np.zeros(6), cm, check=False)
     cond = gs.condition_on_measurement(state, gs.HOMODYNE_Q, measured_mode=0)
-    gain = cm[np.ix_(idx_e, [0])][:, 0] / var_b  # sigma_EB * pinv
-    xmax = np.max(np.abs(means)) + 8.0 * math.sqrt(var_b)
+    gain = cm[idx_e, 0] / var_b  # sigma_EB * pinv
+    return _displaced_gram(cond.cm, fm_e - gain * means[:, None]), s_e, means, var_b
+
+
+def _wiretap_chi(alpha2, channel, n_nodes):
+    """Holevo information chi(B;E) = S(E) - int p(x) S(E|x) dx.
+
+    Pure loss (eps = 0) and the thermal dilation differ only in Eve's
+    Gram matrix, S(E) and Bob's statistics; the integrand is symmetric
+    in x, so Simpson's rule runs on x >= 0.
+    """
+    if channel.eps > 0.0:
+        gram, s_e, means, var = _eve_dilation(alpha2, channel)
+    else:
+        gram, s_e, means, var = _eve_pure_loss(alpha2, channel.T)
+    xmax = np.max(np.abs(means)) + 8.0 * math.sqrt(var)
     xs = np.linspace(0.0, xmax, n_nodes)
-    pxk = np.exp(-((xs[None, :] - means[:, None]) ** 2) / (2.0 * var_b)) / math.sqrt(
-        2.0 * math.pi * var_b
+    pxk = np.exp(-((xs[None, :] - means[:, None]) ** 2) / (2.0 * var)) / math.sqrt(
+        2.0 * math.pi * var
     )
-    pb = 0.25 * pxk.sum(axis=0)
-    wk = np.where(pb[None, :] > 0.0, 0.25 * pxk / pb[None, :], 0.25)  # (4, nodes)
-    cond_fms = (
-        fm_e[None, :, :] + gain[None, None, :] * (xs[:, None, None] - means[None, :, None])
-    )  # (nodes, 4, 4dims)
-    s_cond = _displaced_mixture_entropy(cond.cm, cond_fms, wk.T)
+    pb, s_cond = _posterior_entropy(gram, pxk.T)
     integrand = 2.0 * pb * s_cond
     step = xs[1] - xs[0]
-    s_eb = float(np.sum(simpson_weights(n_nodes) * integrand) * step / 3.0)
-    return s_e - s_eb
+    return s_e - float(np.sum(simpson_weights(n_nodes) * integrand) * step / 3.0)
 
 
 def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
@@ -751,30 +747,24 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
                      n_nodes=201) -> KgrResult:
     """QPSK key rate when Eve holds exactly the channel environment.
 
-    loss_model='pure' treats the channel as pure loss (requires eps = 0)
-    and evaluates Eve's entropies exactly through coherent-mixture
-    spectra; 'thermal' runs the entangling-cloner dilation.  There Eve's
-    unconditional two-mode mixture, S(E), is expanded in the Fock basis,
-    its cutoff grown until the tail drops below ``gs.FOCK_TAIL_TOL``.
-    Her states conditioned on Bob's homodyne outcome are displaced
-    copies of one pure Gaussian state, so each conditional entropy comes
-    from a 4 x 4 Gram spectrum; both models integrate it over Bob's
-    outcome by Simpson's rule.
+    At eps = 0 Eve holds the reflected coherent states and S(E) is their
+    Gram spectrum; at eps > 0 she holds the entangling-cloner dilation
+    and S(E) is expanded in the Fock basis, its cutoff grown until the
+    tail drops below ``gs.FOCK_TAIL_TOL``.  Her states conditioned on
+    Bob's homodyne outcome are, in both cases, posterior-weighted
+    mixtures with one fixed 4 x 4 Gram matrix, integrated over the
+    outcome by Simpson's rule on ``n_nodes`` (odd) nodes.
+    ``loss_model`` only validates: 'pure' requires eps = 0, 'thermal'
+    accepts any eps.
     """
     if loss_model not in ("pure", "thermal"):
         raise ValueError("loss_model must be 'pure' or 'thermal'")
     if loss_model == "pure" and channel.eps != 0.0:
         raise ValueError("the pure-loss model requires zero excess noise")
-    if n_nodes % 2 == 0:
-        n_nodes += 1
 
     def parts(a2):
         i_ab = psk_mutual_information(4, a2, channel)
-        if loss_model == "pure":
-            chi = _wiretap_pure(a2, channel, n_nodes)
-        else:
-            chi = _wiretap_thermal(a2, channel, n_nodes)
-        return i_ab, max(chi, 0.0)
+        return i_ab, max(_wiretap_chi(a2, channel, n_nodes), 0.0)
 
     def key_rate(a2):
         i_ab, chi = parts(a2)

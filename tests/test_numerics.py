@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvq import numerics
+from cvq import kor, numerics, qkd
 from cvq.numerics import (
     bisect_root,
     golden_min,
@@ -146,6 +146,16 @@ class TestQuadrature:
     def test_simpson_weights_reject_bad_count(self, n):
         with pytest.raises(ValueError, match="odd"):
             simpson_weights(n)
+
+    @pytest.mark.parametrize("call", [
+        lambda: simpson_integral(np.exp, 0.0, 1.0, n_points=20),
+        lambda: qkd.wiretap_qpsk_kgr(qkd.ChannelParams(0.5), 0.95, "pure",
+                                     alpha2=0.4, n_nodes=100),
+        lambda: kor.dh_rate(0.5, 0.95, alpha2=0.4, nodes=100),
+    ], ids=["simpson_integral", "wiretap_qpsk_kgr", "dh_rate"])
+    def test_even_node_count_raises(self, call):
+        with pytest.raises(ValueError, match="odd"):
+            call()
 
 
 class TestHermitianSqrt:

@@ -345,48 +345,66 @@ class TestWiretap:
 
     @pytest.mark.parametrize("d", [5.0, 60.0])
     def test_gram_kernel_matches_fock_oracle(self, d, monkeypatch):
+        # the oracle expands each node's mixture at the symbol's own
+        # conditional means d_k(x) = fm_E,k + g (x - m_k); the kernel
+        # drops the common shift g x and uses one Gram matrix
         seen = {}
-        kernel = qkd._displaced_mixture_entropy
+        fock, condition = gs._fock_batch, gs.condition_on_measurement
 
-        def spy(cm, fms, weights):
-            seen.update(cm=cm, fms=fms, weights=weights)
-            seen["s"] = kernel(cm, fms, weights)
-            return seen["s"]
+        def fock_spy(cm, fms, cutoffs):
+            seen["fm_e"] = fms
+            return fock(cm, fms, cutoffs)
 
-        monkeypatch.setattr(qkd, "_displaced_mixture_entropy", spy)
-        qkd._wiretap_thermal(0.4, qkd.ChannelParams.from_distance(d, 0.02), 201)
-        nodes = [0, 60, 200]
+        def condition_spy(state, meas, measured_mode):
+            seen["cm"] = state.cm
+            seen["cond"] = condition(state, meas, measured_mode)
+            return seen["cond"]
+
+        monkeypatch.setattr(gs, "_fock_batch", fock_spy)
+        monkeypatch.setattr(gs, "condition_on_measurement", condition_spy)
+        gram, _, means, var = qkd._eve_dilation(0.4, qkd.ChannelParams.from_distance(d, 0.02))
+        monkeypatch.undo()
+        gain = seen["cm"][2:, 0] / seen["cm"][0, 0]
+        assert np.max(np.abs(gain)) > 1e-3  # the common shift is not zero
+        xmax = np.max(np.abs(means)) + 8.0 * math.sqrt(var)
+        xs = np.linspace(0.0, xmax, 201)[[0, 60, 200]]
+        lik = np.exp(-((xs[:, None] - means[None, :]) ** 2) / (2.0 * var))
+        pb, s_gram = qkd._posterior_entropy(gram, lik)
+        cond_fms = seen["fm_e"][None] + gain * (xs[:, None] - means[None, :])[:, :, None]
         s, defect = oracles.fock_conditional_entropy(
-            seen["cm"], seen["fms"][nodes], seen["weights"][nodes], 12
+            seen["cond"].cm, cond_fms, lik / (4.0 * pb[:, None]), 12
         )
         assert defect < 1e-11
-        assert np.max(np.abs(s - seen["s"][nodes])) < 1e-10
+        assert np.max(np.abs(s - s_gram)) < 1e-10
 
     def test_gram_kernel_rejects_mixed_state(self):
-        fms = np.zeros((1, 4, 4))
-        fms[0, :, 0] = [0.0, 1.0, 2.0, 3.0]
-        weights = np.full((1, 4), 0.25)
-        qkd._displaced_mixture_entropy(np.eye(4), fms, weights)  # pure: accepted
+        fms = np.zeros((4, 4))
+        fms[:, 0] = [0.0, 1.0, 2.0, 3.0]
+        qkd._displaced_gram(np.eye(4), fms)  # pure: accepted
         with pytest.raises(ValueError, match="pure"):
-            qkd._displaced_mixture_entropy(np.diag([1.5, 1.5, 1.0, 1.0]), fms, weights)
+            qkd._displaced_gram(np.diag([1.5, 1.5, 1.0, 1.0]), fms)
 
     def test_thermal_equals_pure_at_zero_noise(self, monkeypatch):
-        # at eps = 0 only S(E)'s Fock truncation separates the two paths;
-        # a 1e-14 tail keeps it below 1e-13 (at the default 1e-10 tail it
-        # reaches 7e-11 at these points)
+        # at eps = 0 the dilation's Gram matrix is the coherent one and
+        # only S(E)'s Fock truncation separates the two; a 1e-14 tail
+        # keeps it below 1e-13 (at the default 1e-10 tail it reaches
+        # 7e-11 at these points)
         monkeypatch.setattr(gs, "FOCK_TAIL_TOL", 1e-14)
         for d in (5.0, 40.0, 80.0):
             ch = qkd.ChannelParams.from_distance(d, 0.0)
             for a2 in (0.3, 1.5, 2.0):
-                thermal = qkd._wiretap_thermal(a2, ch, 101)
-                assert abs(thermal - qkd._wiretap_pure(a2, ch, 101)) < 1e-12
+                g_d, s_d, m_d, v_d = qkd._eve_dilation(a2, ch)
+                g_c, s_c, m_c, v_c = qkd._eve_pure_loss(a2, ch.T)
+                assert np.max(np.abs(g_d - g_c)) < 1e-12
+                assert abs(s_d - s_c) < 1e-12
+                assert np.max(np.abs(m_d - m_c)) < 1e-12 and abs(v_d - v_c) < 1e-12
 
     def test_eve_cutoff_cap_warns_once(self, monkeypatch):
         monkeypatch.setattr(qkd, "WIRETAP_FOCK_CAP", 9)
         ch = qkd.ChannelParams.from_distance(40.0, 0.02)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            qkd._wiretap_thermal(2.0, ch, 101)
+            qkd._wiretap_chi(2.0, ch, 101)
         hits = [w for w in caught if issubclass(w.category, PrecisionWarning)]
         assert len(hits) == 1 and "cap 9" in str(hits[0].message)
 
