@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian as gs
 from .numerics import golden_min, maximize_scalar, minimize_bounded
-from .qkd import ChannelParams, KgrResult, holevo_from_cm
+from .qkd import ChannelParams, KgrResult, _two_mode_cm, holevo_from_cm
 
 __all__ = [
     "SpanLink",
@@ -395,7 +395,8 @@ def _integrate_vars(terms, int_idx, keep_idx, measure_pairs):
     return new_terms
 
 
-def _restrict_vars(terms, zero_idx, keep_idx):
+def _restrict_vars(terms, keep_idx):
+    """Set every variable outside ``keep_idx`` to zero."""
     return [
         (c, q[np.ix_(keep_idx, keep_idx)], m[np.ix_(keep_idx, keep_idx)])
         for c, q, m in terms
@@ -490,15 +491,7 @@ def physical_nla_cm(kind, v, t, eps, g, eta=1.0):
         raise ValueError("QS transmissivity out of range")
     if kind == "SPC" and not 0.0 < tau <= 0.25:
         raise ValueError("SPC transmissivity out of range")
-    chi = (1.0 - t) / t + eps
-    z = math.sqrt(v * v - 1.0)
-    sz = np.diag([1.0, -1.0])
-    cm_ab = np.block(
-        [
-            [v * np.eye(2), math.sqrt(t) * z * sz],
-            [math.sqrt(t) * z * sz, t * (v + chi) * np.eye(2)],
-        ]
-    )
+    cm_ab = _two_mode_cm(v, t, (1.0 - t) / t + eps, math.sqrt(v * v - 1.0))
     off_coeff = (2.0 - eta) / eta
     if kind == "QS":
         mix = _qs_mixing(tau)
@@ -508,7 +501,7 @@ def physical_nla_cm(kind, v, t, eps, g, eta=1.0):
         keep_after = [0, 1, 6, 7]
         # chi_on(B) x chi_off(B1): delta part restricts B to the origin
         t_off_b1 = _mul_gaussian(terms, vars_b1, off_coeff, 1.0 / eta)
-        delta_part = _restrict_vars(t_off_b1, vars_b, [0, 1] + vars_b1 + [6, 7])
+        delta_part = _restrict_vars(t_off_b1, [0, 1] + vars_b1 + [6, 7])
         delta_part = _integrate_vars(delta_part, [2, 3], [0, 1, 4, 5], 1)
         gauss_part = _mul_gaussian(t_off_b1, vars_b, off_coeff, 1.0 / eta)
         gauss_part = _integrate_vars(
@@ -521,7 +514,7 @@ def physical_nla_cm(kind, v, t, eps, g, eta=1.0):
     terms = _nla_charfn_terms(cm_ab, mix)
     vars_b1 = [4, 5]
     keep_after = [0, 1, 2, 3]
-    delta_part = _restrict_vars(terms, vars_b1, keep_after)
+    delta_part = _restrict_vars(terms, keep_after)
     gauss_part = _mul_gaussian(terms, vars_b1, off_coeff, 1.0 / eta)
     gauss_part = _integrate_vars(gauss_part, vars_b1, keep_after, 1)
     terms_out = delta_part + [(-c, -q, m) for c, q, m in gauss_part]
@@ -546,15 +539,7 @@ def nla_kgr(kind, channel: ChannelParams, beta, gain=None, eta=1.0,
             if not eff["valid"]:
                 return None
             ve, te, ee = eff["V_id"], eff["T_id"], eff["eps_id"]
-            chi_e = (1.0 - te) / te + ee
-            ze = math.sqrt(ve * ve - 1.0)
-            sz = np.diag([1.0, -1.0])
-            cm = np.block(
-                [
-                    [ve * np.eye(2), math.sqrt(te) * ze * sz],
-                    [math.sqrt(te) * ze * sz, te * (ve + chi_e) * np.eye(2)],
-                ]
-            )
+            cm = _two_mode_cm(ve, te, (1.0 - te) / te + ee, math.sqrt(ve * ve - 1.0))
             p_succ = 1.0 / gg**2
         else:
             try:
@@ -566,10 +551,7 @@ def nla_kgr(kind, channel: ChannelParams, beta, gain=None, eta=1.0,
             nus = gs.symplectic_eigenvalues(cm)
             if np.min(nus) < 1.0 - 1e-6:
                 return None
-        state = gs.GaussianState(np.zeros(4), cm, check=False)
-        i_ab = gs.gaussian_mutual_information(state, gs.DOUBLE_HOMODYNE, gs.HOMODYNE_Q)
-        chi_be = holevo_from_cm(cm)
-        return i_ab, chi_be, p_succ
+        return _mutual_info_2mode(cm, 0), holevo_from_cm(cm), p_succ
 
     def key_rate(vv, gg):
         res = parts(vv, gg)

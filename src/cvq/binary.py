@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from . import detectors as det
-from .detectors import INF_RESOLUTION, PnrSpec
+from .detectors import PnrSpec
 from .numerics import (
     PrecisionWarning,
     bisect_root,
@@ -161,12 +161,6 @@ def _improved_kennedy_beta(alpha):
     return bisect_root(gap, alpha, hi, tol=1e-12)
 
 
-def _pnr_weights(rate, m):
-    w = det.poisson_weights(rate, m)
-    w[m] = 1.0 - det.poisson_cdf(m - 1, rate)
-    return w
-
-
 def _phase_noise_pnr(scenario, energy, m):
     """P_sigma(n|k): PNR(m) statistics of the displaced dephased states.
 
@@ -181,7 +175,7 @@ def _phase_noise_pnr(scenario, energy, m):
     mu1 = eta * 4.0 * energy * np.cos(phi / 2.0) ** 2
 
     def binned(mus):
-        probs = np.stack([_pnr_weights(mu, m) for mu in mus])
+        probs = np.stack([det.pnr_weights(mu, m) for mu in mus])
         return w @ probs
 
     p0 = binned(mu0)
@@ -237,8 +231,8 @@ def kennedy_family(scenario: BpskScenario, mode="nulling") -> ReceiverResult:
     if kind in ("ideal", "dark"):
         nu = scenario.spec.nu
         r0, r1 = nu, eta * 4.0 * a2 + nu
-        p0 = _pnr_weights(r0, m)
-        p1 = _pnr_weights(r1, m)
+        p0 = det.pnr_weights(r0, m)
+        p1 = det.pnr_weights(r1, m)
         n_th = det.map_threshold("dark", alpha2=eta * a2, nu=nu, resolution=m)
         p_err = 1.0 - 0.5 * float(np.sum(np.maximum(p0, p1)))
         return ReceiverResult(p_err, {"n_th": n_th, "resolution": m})
@@ -246,8 +240,8 @@ def kennedy_family(scenario: BpskScenario, mode="nulling") -> ReceiverResult:
         xi = scenario.spec.xi
         g_m = eta * 2.0 * a2 * (1.0 - xi)
         g_p = eta * 2.0 * a2 * (1.0 + xi)
-        p0 = _pnr_weights(g_m, m)
-        p1 = _pnr_weights(g_p, m)
+        p0 = det.pnr_weights(g_m, m)
+        p1 = det.pnr_weights(g_p, m)
         n_th = det.map_threshold("visibility", alpha2=eta * a2, xi=xi, resolution=m)
         p_err = 1.0 - 0.5 * float(np.sum(np.maximum(p0, p1)))
         return ReceiverResult(p_err, {"n_th": n_th, "resolution": m})

@@ -21,6 +21,7 @@ from .numerics import bisect_root
 __all__ = [
     "PnrSpec",
     "ClickPmf",
+    "pnr_weights",
     "pnr_pmf",
     "interference_rates",
     "hl_pmf",
@@ -112,6 +113,13 @@ def poisson_cdf(n, mu):
     return float(special.gammaincc(n + 1, mu))
 
 
+def pnr_weights(rate, m):
+    """PNR(m) counts at Poisson rate ``rate``: 0..m-1, bin m holds the tail."""
+    w = poisson_weights(rate, m)
+    w[m] = 1.0 - poisson_cdf(m - 1, rate)
+    return w
+
+
 def pnr_pmf(mu, spec: PnrSpec) -> ClickPmf:
     """Counting distribution of a PNR(M) detector on mean energy ``mu``.
 
@@ -122,9 +130,7 @@ def pnr_pmf(mu, spec: PnrSpec) -> ClickPmf:
         raise ValueError("mean count must be >= 0")
     rate = spec.eta * mu + spec.nu
     m = spec.effective_resolution(rate)
-    w = poisson_weights(rate, m)
-    w[m] = 1.0 - poisson_cdf(m - 1, rate)
-    return ClickPmf(np.arange(m + 1), w)
+    return ClickPmf(np.arange(m + 1), pnr_weights(rate, m))
 
 
 def interference_rates(alpha_sig, z_lo, phi=0.0, xi=1.0):
@@ -156,10 +162,7 @@ def hl_pmf(alpha_sig, z_lo, spec: PnrSpec, phi=0.0) -> ClickPmf:
     rp = spec.eta * mu_p + spec.nu
     rm = spec.eta * mu_m + spec.nu
     m = spec.effective_resolution(max(rp, rm))
-    wp = poisson_weights(rp, m)
-    wp[m] = 1.0 - poisson_cdf(m - 1, rp)
-    wm = poisson_weights(rm, m)
-    wm[m] = 1.0 - poisson_cdf(m - 1, rm)
+    wp, wm = pnr_weights(rp, m), pnr_weights(rm, m)
     # p(Delta) = sum_n wp[n] wm[n - Delta]: a correlation of the pmfs
     full = np.convolve(wp, wm[::-1])
     return ClickPmf(np.arange(-m, m + 1), full)

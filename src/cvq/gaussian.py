@@ -40,7 +40,6 @@ __all__ = [
     "two_mode_squeezer",
     "phase_shift",
     "apply_channel",
-    "apply_symplectic",
     "symplectic_eigenvalues",
     "symplectic_eigenvalues_closed2",
     "h_entropy",
@@ -300,11 +299,6 @@ def apply_channel(state, channel, modes):
     fm = x_full @ state.fm
     cm = x_full @ state.cm @ x_full.T + y_full
     return GaussianState(fm, cm, check=False)
-
-
-def apply_symplectic(state, s_mat):
-    """Apply a global symplectic matrix to all modes."""
-    return GaussianState(s_mat @ state.fm, s_mat @ state.cm @ s_mat.T, check=False)
 
 
 # ----------------------------------------------------------------------

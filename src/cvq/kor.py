@@ -17,12 +17,13 @@ import numpy as np
 
 from . import gaussian as gs
 from . import mary
-from .numerics import maximize_scalar, simpson_weights
+from .numerics import simpson_weights
 from .qkd import (
     KgrResult,
     _entropy_rows,
     _posterior_entropy,
     _qpsk_amps,
+    _rate_result,
     coherent_overlap_matrix,
     qpsk_mixture_eigenvalues,
 )
@@ -109,18 +110,15 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
     phase tuples at the PGM-optimal energy (ties resolved toward the
     all-zero phases, which reproduce the PGM).
     """
-    def k_pgm(a2):
+    def pgm_parts(a2):
         cond = _cond_probs_batch(a2, t, np.zeros((1, 4)))[0]
-        k, _, _ = _rates_from_cond(cond, alpha2=a2, t=t, beta=beta)
-        return float(k)
+        _, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
+        return float(i_ab), float(chi)
 
-    a_pgm, k_pgm_opt = maximize_scalar(k_pgm, alpha2_box, 31, 1e-7)
+    pgm = _rate_result(pgm_parts, beta, None, alpha2_box, 31, 1e-7, phases=np.zeros(4))
     if mode == "PGM":
-        res = kor_rate(a_pgm, np.zeros(4), t, beta)
-        return KgrResult(
-            res["K"], res["I_AB"], res["chi_BE"], beta,
-            params={"alpha2": float(a_pgm), "phases": np.zeros(4)},
-        )
+        return pgm
+    a_pgm, k_pgm_opt = pgm.params["alpha2"], pgm.K
     if mode != "KOR":
         raise ValueError("mode must be 'KOR' or 'PGM'")
 
@@ -194,16 +192,7 @@ def dh_rate(t, beta, alpha2=None, nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResul
         chi = s_e - float(np.sum(w2 * pb * s_cond))
         return i_ab, max(chi, 0.0)
 
-    def key_rate(a2):
-        i_ab, chi = parts(a2)
-        return beta * i_ab - chi
-
-    if alpha2 is None:
-        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 17, 2e-5)
-    i_ab, chi = parts(alpha2)
-    return KgrResult(
-        beta * i_ab - chi, i_ab, chi, beta, params={"alpha2": float(alpha2)}
-    )
+    return _rate_result(parts, beta, alpha2, alpha2_box, 17, 2e-5)
 
 
 def qdffre_rate(t, beta, n_copies, alpha2=None, alpha2_box=(1e-2, 4.0)) -> KgrResult:
@@ -211,13 +200,10 @@ def qdffre_rate(t, beta, n_copies, alpha2=None, alpha2_box=(1e-2, 4.0)) -> KgrRe
 
     def parts(a2):
         cond, _ = mary.qdffre(t * a2, n_copies)
-        k, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
-        return float(k), float(i_ab), float(chi)
+        _, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
+        return float(i_ab), float(chi)
 
-    if alpha2 is None:
-        alpha2, _ = maximize_scalar(lambda a2: parts(a2)[0], alpha2_box, 17, 2e-5)
-    k, i_ab, chi = parts(alpha2)
-    return KgrResult(k, i_ab, chi, beta, params={"alpha2": float(alpha2), "N": n_copies})
+    return _rate_result(parts, beta, alpha2, alpha2_box, 17, 2e-5, N=n_copies)
 
 
 def phase_orbit(phases):

@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .binary import ReceiverResult
 from .numerics import minimize_bounded
 
 __all__ = [
-    "PskEnsemble",
     "GusReceiver",
     "psk_gram",
     "gram_eigenvalues",
@@ -32,25 +30,6 @@ __all__ = [
     "qdre",
     "qdffre",
 ]
-
-
-@dataclass(frozen=True)
-class PskEnsemble:
-    """PSK(M) constellation of per-symbol energy ``energy``."""
-
-    m: int
-    energy: float
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("need at least two symbols")
-        if self.energy < 0:
-            raise ValueError("energy must be >= 0")
-
-    @property
-    def amplitudes(self):
-        k = np.arange(self.m)
-        return math.sqrt(self.energy) * np.exp(1j * np.pi * (2 * k + 1) / self.m)
 
 
 def psk_gram(m, energy):

@@ -142,8 +142,28 @@ def holevo_from_cm(cm, measured_mode=1, meas=gs.HOMODYNE_Q):
     return s_all - gs.entropy_cm(cond.cm)
 
 
-def gg02_kgr(channel: ChannelParams, beta, optimize_v=True, v=None) -> KgrResult:
-    """GG02 key rate; if ``optimize_v`` the modulation V is tuned.
+def _rate_result(parts, beta, x, box, n_grid, tol, name="alpha2", **params):
+    """Devetak-Winter rate K = beta I_AB - chi_BE at one modulation knob.
+
+    ``parts(x)`` returns (I_AB, chi_BE).  An ``x`` of None is chosen by
+    one ``maximize_scalar`` search of K on ``box``; ``parts`` is then
+    evaluated once at ``x``, so a pinned knob reproduces the searched K.
+    ``params`` joins ``{name: x}`` in the result.
+    """
+    def key_rate(y):
+        i_ab, chi_be = parts(y)
+        return beta * i_ab - chi_be
+
+    if x is None:
+        x, _ = maximize_scalar(key_rate, box, n_grid, tol)
+    i_ab, chi_be = parts(x)
+    return KgrResult(
+        beta * i_ab - chi_be, i_ab, chi_be, beta, params={name: float(x), **params}
+    )
+
+
+def gg02_kgr(channel: ChannelParams, beta, v=None) -> KgrResult:
+    """GG02 key rate; the modulation V is tuned unless pinned.
 
     The exact Gaussian pipeline: I from the 2x2 determinant formula,
     Eve's Holevo information from the joint covariance matrix under the
@@ -160,17 +180,7 @@ def gg02_kgr(channel: ChannelParams, beta, optimize_v=True, v=None) -> KgrResult
         chi_be = holevo_from_cm(cm)
         return i_ab, chi_be
 
-    def key_rate(vv):
-        i_ab, chi_be = parts(vv)
-        return beta * i_ab - chi_be
-
-    if v is None and optimize_v:
-        v_opt, _ = maximize_scalar(key_rate, (1.01, 250.0), 41, 1e-7)
-    else:
-        v_opt = 10.0 if v is None else v
-    i_ab, chi_be = parts(v_opt)
-    k = beta * i_ab - chi_be
-    return KgrResult(k, i_ab, chi_be, beta, params={"V": float(v_opt)})
+    return _rate_result(parts, beta, v, (1.01, 250.0), 41, 1e-7, name="V")
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +259,16 @@ def _mixture_hb(means, weights, var, n_points=2001):
     return val
 
 
+def _psk_amps(m, alpha2):
+    """PSK(M) amplitudes sqrt(alpha2) e^{i pi (2k + 1) / M}, k = 0..M-1."""
+    k = np.arange(m)
+    return math.sqrt(alpha2) * np.exp(1j * np.pi * (2 * k + 1) / m)
+
+
+def _qpsk_amps(alpha2):
+    return _psk_amps(4, alpha2)
+
+
 def _psk_means(m, alpha2, t):
     k = np.arange(m)
     return 2.0 * math.sqrt(t * alpha2) * np.cos(np.pi * (2 * k + 1) / m)
@@ -287,10 +307,7 @@ def psk_kgr(m, channel: ChannelParams, beta, alpha2=None,
         else:
             z = psk_correlation(m, a2)
         if z_penalty and eps > 0.0 and m != "inf":
-            amps = math.sqrt(a2) * np.exp(
-                1j * np.pi * (2 * np.arange(m) + 1) / m
-            )
-            _, w = _mixture_z(amps, np.full(m, 1.0 / m), penalty=True)
+            _, w = _mixture_z(_psk_amps(m, a2), np.full(m, 1.0 / m), penalty=True)
             z = max(z - math.sqrt(max(2.0 * t * eps * w, 0.0)) / math.sqrt(t), 0.0)
         v = 1.0 + 2.0 * a2
         i_ab = psk_mutual_information(m, a2, channel)
@@ -298,16 +315,7 @@ def psk_kgr(m, channel: ChannelParams, beta, alpha2=None,
         chi_be = holevo_from_cm(cm)
         return i_ab, chi_be
 
-    def key_rate(a2):
-        i_ab, chi_be = parts(a2)
-        return beta * i_ab - chi_be
-
-    if alpha2 is None:
-        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 25, 3e-6)
-    i_ab, chi_be = parts(alpha2)
-    return KgrResult(
-        beta * i_ab - chi_be, i_ab, chi_be, beta, params={"alpha2": float(alpha2)}
-    )
+    return _rate_result(parts, beta, alpha2, alpha2_box, 25, 3e-6)
 
 
 # ----------------------------------------------------------------------
@@ -454,11 +462,7 @@ def _trusted_cm(alpha2, channel, scenario):
     else:
         nbar_d = 0.0
     v_d = 1.0 + 2.0 * nbar_d
-    z_d = math.sqrt(max(v_d * v_d - 1.0, 0.0))
-    sz = np.diag([1.0, -1.0])
-    sigma_c = np.block(
-        [[v_d * np.eye(2), z_d * sz], [z_d * sz, v_d * np.eye(2)]]
-    )
+    sigma_c = _two_mode_cm(v_d, 1.0, 0.0, math.sqrt(v_d * v_d - 1.0))
     full = linalg.block_diag(sigma_ab, sigma_c)
     state = gs.GaussianState(np.zeros(8), full, check=False)
     state = gs.apply_channel(state, gs.beam_splitter(eta), modes=[1, 2])
@@ -491,16 +495,7 @@ def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
         chi_be = holevo_from_cm(sub, measured_mode=1)
         return i_ab, chi_be
 
-    def key_rate(a2):
-        i_ab, chi_be = parts(a2)
-        return beta * i_ab - chi_be
-
-    if alpha2 is None:
-        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 25, 3e-6)
-    i_ab, chi_be = parts(alpha2)
-    return KgrResult(
-        beta * i_ab - chi_be, i_ab, chi_be, beta, params={"alpha2": float(alpha2)}
-    )
+    return _rate_result(parts, beta, alpha2, alpha2_box, 25, 3e-6)
 
 
 # ----------------------------------------------------------------------
@@ -582,11 +577,7 @@ def mixture_entropy(weights, components) -> float:
                     )
                 break
             cut *= 2
-        ev = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        if np.min(ev) < -1e-9:
-            raise FloatingPointError("negative eigenvalue in Gaussian mixture")
-        ev = ev[ev > 0.0]
-        return float(-np.sum(ev * np.log2(ev)))
+        return float(_entropy_batch((rho + rho.conj().T) / 2.0))
     gram = coherent_overlap_matrix(np.asarray(comps, dtype=complex))
     return float(_entropy_batch(_weighted_gram(w, gram)))
 
@@ -608,11 +599,6 @@ def qpsk_mixture_eigenvalues(energy):
 # ----------------------------------------------------------------------
 # wiretap QPSK
 # ----------------------------------------------------------------------
-
-def _qpsk_amps(alpha2):
-    k = np.arange(4)
-    return math.sqrt(alpha2) * np.exp(1j * np.pi * (2 * k + 1) / 4)
-
 
 def _entropy_rows(p):
     """Shannon entropy (bits) along the last axis, 0 log 0 = 0."""
@@ -766,16 +752,7 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
         i_ab = psk_mutual_information(4, a2, channel)
         return i_ab, max(_wiretap_chi(a2, channel, n_nodes), 0.0)
 
-    def key_rate(a2):
-        i_ab, chi = parts(a2)
-        return beta * i_ab - chi
-
-    if alpha2 is None:
-        alpha2, _ = maximize_scalar(key_rate, alpha2_box, 9, 4e-3)
-    i_ab, chi = parts(alpha2)
-    return KgrResult(
-        beta * i_ab - chi, i_ab, chi, beta, params={"alpha2": float(alpha2)}
-    )
+    return _rate_result(parts, beta, alpha2, alpha2_box, 9, 4e-3)
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,42 @@ import numpy as np
 import pytest
 
 from cvq import gaussian as gs
-from cvq import qkd
+from cvq import kor, qkd
 from cvq.numerics import PrecisionWarning
 
 import oracles
 
 
 BETA = 0.95
+
+
+# every rate searched over one knob, at 20 km with excess noise 0.02
+FRAME_CH = qkd.ChannelParams.from_distance(20.0, 0.02)
+FRAME_CASES = {
+    "gg02": ("V", lambda x: qkd.gg02_kgr(FRAME_CH, BETA, v=x)),
+    "psk4": ("alpha2", lambda x: qkd.psk_kgr(4, FRAME_CH, BETA, alpha2=x)),
+    "trusted": ("alpha2", lambda x: qkd.trusted_qpsk_kgr(
+        FRAME_CH, BETA, qkd.TrustScenario("tL;tN", eta=0.7, eps_d=0.01), alpha2=x)),
+    "wiretap": ("alpha2", lambda x: qkd.wiretap_qpsk_kgr(
+        FRAME_CH, BETA, alpha2=x, n_nodes=41)),
+    "dh": ("alpha2", lambda x: kor.dh_rate(FRAME_CH.T, BETA, alpha2=x, nodes=41)),
+    "qdffre": ("alpha2", lambda x: kor.qdffre_rate(FRAME_CH.T, BETA, 8, alpha2=x)),
+}
+
+
+class TestRateFrame:
+    @pytest.mark.parametrize("case", list(FRAME_CASES))
+    def test_pinned_knob_reproduces_search(self, case):
+        name, rate = FRAME_CASES[case]
+        r = rate(None)
+        again = rate(r.params[name])
+        assert (again.K, again.I_AB, again.chi_BE) == (r.K, r.I_AB, r.chi_BE)
+        assert r.check_decomposition(0.0)
+
+    def test_pgm_mode_is_the_zero_phase_receiver(self):
+        r = kor.optimize_kor(FRAME_CH.T, BETA, mode="PGM")
+        ref = kor.kor_rate(r.params["alpha2"], np.zeros(4), FRAME_CH.T, BETA)
+        assert (r.K, r.I_AB) == (ref["K"], ref["I_AB"])
 
 
 class TestChannelParams:
@@ -31,7 +60,7 @@ class TestChannelParams:
 class TestGg02:
     def test_mutual_information_matches_gaussian_route(self):
         v, ch = 6.0, qkd.ChannelParams(0.45, 0.03)
-        r = qkd.gg02_kgr(ch, BETA, v=v, optimize_v=False)
+        r = qkd.gg02_kgr(ch, BETA, v=v)
         st0 = gs.apply_channel(
             gs.make_state("tmsv", V=v),
             gs.thermal_loss_channel(ch.T, ch.nbar_T),
