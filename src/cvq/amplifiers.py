@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from . import gaussian as gs
 from .numerics import golden_min, maximize_scalar, minimize_bounded
@@ -138,7 +139,7 @@ def span_link_cm(link: SpanLink, v):
     z = math.sqrt(v * v - 1.0)
     zq = math.sqrt(tq) * z
     zp = math.sqrt(tp) * z
-    cm = np.array(
+    return np.array(
         [
             [v, 0.0, zq, 0.0],
             [0.0, v, 0.0, -zp],
@@ -146,7 +147,6 @@ def span_link_cm(link: SpanLink, v):
             [0.0, -zp, 0.0, tp * (v + cp)],
         ]
     )
-    return gs.GaussianState(np.zeros(4), cm, check=False)
 
 
 def gain_cap(link: SpanLink, v):
@@ -155,12 +155,6 @@ def gain_cap(link: SpanLink, v):
     if link.kind == "psa":
         return v / (1.0 + t * (v + eps - 1.0))
     return (1.0 + v) / (2.0 + t * (v + eps - 1.0))
-
-
-def _mutual_info_2mode(cm, quad):
-    state = gs.GaussianState(np.zeros(4), cm, check=False)
-    meas_b = gs.HOMODYNE_Q if quad == 0 else gs.HOMODYNE_P
-    return gs.gaussian_mutual_information(state, gs.DOUBLE_HOMODYNE, meas_b)
 
 
 def multispan_kgr_unconditional(link: SpanLink, beta, case="IIb",
@@ -183,11 +177,8 @@ def multispan_kgr_unconditional(link: SpanLink, beta, case="IIb",
 
     def parts(vv, gg):
         lk = SpanLink(link.m_spans, link.d_km, link.eps, gg, "psa", link.kappa)
-        cm = span_link_cm(lk, vv).cm
-        i_ab = _mutual_info_2mode(cm, quad)
-        meas = gs.HOMODYNE_Q if quad == 0 else gs.HOMODYNE_P
-        chi_be = holevo_from_cm(cm, measured_mode=1, meas=meas)
-        return i_ab, chi_be
+        cm = span_link_cm(lk, vv)
+        return gs.gaussian_mutual_information(cm, quad), holevo_from_cm(cm, quad=quad)
 
     v, gain = _optimize_v_gain(parts, link, beta, v, gain)
     i_ab, chi_be = parts(v, gain)
@@ -245,13 +236,16 @@ def _conditional_cms(link: SpanLink, v, k_span):
     splitter between B and her TMSV half E1.
     """
     v_eps = 1.0 + 2.0 * link.nbar_T
-    # both states are built here, so their CMs are updated in place
-    state = gs.make_state("tmsv", V=v).tensor(gs.make_state("tmsv", V=v_eps))
-    _map_mode(state.cm, 1, _span_chain(link, k_span - 1))
-    state = gs.apply_channel(state, gs.beam_splitter(link.span_T), modes=[1, 2])
-    _map_mode(state.cm, 1, _amplifier(link))
-    _map_mode(state.cm, 1, _span_chain(link, link.m_spans - k_span))
-    return state
+    cm = linalg.block_diag(
+        _two_mode_cm(v, 1.0, 0.0, math.sqrt(v * v - 1.0)),
+        _two_mode_cm(v_eps, 1.0, 0.0, math.sqrt(v_eps * v_eps - 1.0)),
+    )
+    _map_mode(cm, 1, _span_chain(link, k_span - 1))
+    x = gs.beam_splitter_matrix(link.span_T, [1, 2], 4)
+    cm = x @ cm @ x.T
+    _map_mode(cm, 1, _amplifier(link))
+    _map_mode(cm, 1, _span_chain(link, link.m_spans - k_span))
+    return cm
 
 
 def multispan_kgr_conditional(link: SpanLink, beta, k_span, case=None,
@@ -272,17 +266,13 @@ def multispan_kgr_conditional(link: SpanLink, beta, k_span, case=None,
     if case in ("IIa", "IIb") and link.kind != "psa":
         raise ValueError("cases IIa/IIb refer to a PSA link")
     quad = 0 if case in ("I", "IIa") else 1
-    meas = gs.HOMODYNE_Q if quad == 0 else gs.HOMODYNE_P
 
     def parts(vv, gg):
         lk = SpanLink(link.m_spans, link.d_km, link.eps, gg, link.kind, link.kappa)
         joint = _conditional_cms(lk, vv, k_span)
-        cm_ab = joint.reduced([0, 1]).cm
-        i_ab = _mutual_info_2mode(cm_ab, quad)
-        cm_e = joint.reduced([2, 3]).cm
-        cond = gs.condition_on_measurement(joint, meas, measured_mode=1)
-        cm_e_cond = cond.reduced([1, 2]).cm  # modes (A, E1, E2) -> keep E
-        chi_be = gs.entropy_cm(cm_e) - gs.entropy_cm(cm_e_cond)
+        i_ab = gs.gaussian_mutual_information(joint[:4, :4], quad)
+        cm_e_cond = gs.condition_on_measurement(joint, 1, quad)[2:, 2:]  # (A, E1, E2) -> E
+        chi_be = gs.entropy_cm(joint[4:, 4:]) - gs.entropy_cm(cm_e_cond)
         return i_ab, chi_be
 
     v, gain = _optimize_v_gain(parts, link, beta, v, gain)
@@ -551,7 +541,7 @@ def nla_kgr(kind, channel: ChannelParams, beta, gain=None, eta=1.0,
             nus = gs.symplectic_eigenvalues(cm)
             if np.min(nus) < 1.0 - 1e-6:
                 return None
-        return _mutual_info_2mode(cm, 0), holevo_from_cm(cm), p_succ
+        return gs.gaussian_mutual_information(cm), holevo_from_cm(cm), p_succ
 
     def key_rate(vv, gg):
         res = parts(vv, gg)

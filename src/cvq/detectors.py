@@ -169,7 +169,7 @@ def hl_pmf(alpha_sig, z_lo, spec: PnrSpec, phi=0.0) -> ClickPmf:
 
 
 def map_threshold(kind, *, alpha2=None, nu=None, xi=None, resolution=None,
-                  sigma=None, tau=1.0, pmf0=None, pmf1=None):
+                  pmf0=None, pmf1=None):
     """MAP decision threshold n_th for displacement-PNR receivers.
 
     kind = "dark":      min(ceil(4 a2 / ln(1 + 4 a2 / nu)), M); nu -> 0

@@ -8,8 +8,8 @@ Conventions used throughout the package:
   (2 Re alpha, 2 Im alpha) and covariance matrix equal to the identity;
 * entropies are in bits.
 
-The module provides states, Gaussian channels, Gaussian measurements
-(including the analytic rank-degenerate homodyne limit), von Neumann
+The module provides states, Gaussian channels, homodyne conditioning of
+covariance matrices (the exact rank-degenerate limit), von Neumann
 entropies, the photon-number (Fock) expansion of Gaussian states, Wigner
 functions of truncated number-basis operators, and the baseline
 capacities of the thermal-loss channel.
@@ -28,7 +28,6 @@ from .numerics import PrecisionWarning
 __all__ = [
     "GaussianState",
     "GaussianChannel",
-    "MeasurementSpec",
     "FockOperator",
     "omega",
     "is_physical",
@@ -37,6 +36,7 @@ __all__ = [
     "pia_channel",
     "psa_channel",
     "beam_splitter",
+    "beam_splitter_matrix",
     "two_mode_squeezer",
     "phase_shift",
     "apply_channel",
@@ -80,6 +80,11 @@ def is_physical(cm, tol=PHYS_TOL):
     return ev_min >= -tol * scale
 
 
+def _quad_indices(modes):
+    """Row indices (q_m, p_m) of ``modes`` in (q1, p1, q2, p2, ...) ordering."""
+    return np.concatenate([(2 * m, 2 * m + 1) for m in np.atleast_1d(modes)])
+
+
 class UnphysicalStateError(ValueError):
     """Covariance matrix violates sigma + i*Omega >= 0."""
 
@@ -115,8 +120,7 @@ class GaussianState:
         return self.cm.shape[0] // 2
 
     def mode_indices(self, modes):
-        modes = np.atleast_1d(modes)
-        return np.concatenate([(2 * m, 2 * m + 1) for m in modes])
+        return _quad_indices(modes)
 
     def reduced(self, modes):
         """Partial trace down to the given modes (in the given order)."""
@@ -137,7 +141,6 @@ class GaussianChannel:
 
     x_mat: np.ndarray
     y_mat: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         x = np.asarray(self.x_mat, dtype=float)
@@ -163,41 +166,6 @@ class GaussianChannel:
             np.max(np.abs(self.y_mat)) < 1e-12
             and np.max(np.abs(self.x_mat @ om @ self.x_mat.T - om)) < 1e-12
         )
-
-
-@dataclass(frozen=True)
-class MeasurementSpec:
-    """A Gaussian measurement on one mode.
-
-    ``kind`` is one of ``homodyne-q``, ``homodyne-p`` (rank-degenerate
-    limits, handled analytically) or ``double-homodyne`` (cm_m = identity).
-    A finite measurement covariance can be supplied via ``cm_m`` with
-    kind ``general``.
-    """
-
-    kind: str
-    cm_m: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("homodyne-q", "homodyne-p", "double-homodyne", "general"):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if self.kind == "double-homodyne":
-            object.__setattr__(self, "cm_m", np.eye(2))
-        if self.kind == "general" and self.cm_m is None:
-            raise ValueError("general measurement needs cm_m")
-
-    @property
-    def is_homodyne(self):
-        return self.kind in ("homodyne-q", "homodyne-p")
-
-    @property
-    def quadrature(self):
-        return 0 if self.kind == "homodyne-q" else 1
-
-
-HOMODYNE_Q = MeasurementSpec("homodyne-q")
-HOMODYNE_P = MeasurementSpec("homodyne-p")
-DOUBLE_HOMODYNE = MeasurementSpec("double-homodyne")
 
 
 # ----------------------------------------------------------------------
@@ -238,14 +206,14 @@ def thermal_loss_channel(T, nbar_T=0.0):
         raise ValueError("transmissivity must lie in [0, 1]")
     x = np.sqrt(T) * np.eye(2)
     y = (1.0 - T) * (1.0 + 2.0 * nbar_T) * np.eye(2)
-    return GaussianChannel(x, y, kind="thermal-loss")
+    return GaussianChannel(x, y)
 
 
 def pia_channel(G):
     """Phase-insensitive amplifier of power gain G >= 1."""
     if G < 1.0:
         raise ValueError("PIA gain must be >= 1")
-    return GaussianChannel(np.sqrt(G) * np.eye(2), (G - 1.0) * np.eye(2), kind="pia")
+    return GaussianChannel(np.sqrt(G) * np.eye(2), (G - 1.0) * np.eye(2))
 
 
 def psa_channel(G):
@@ -253,14 +221,23 @@ def psa_channel(G):
     if G <= 0.0:
         raise ValueError("PSA gain must be positive")
     s = np.diag([np.sqrt(G), 1.0 / np.sqrt(G)])
-    return GaussianChannel(s, np.zeros((2, 2)), kind="psa")
+    return GaussianChannel(s, np.zeros((2, 2)))
+
+
+def beam_splitter_matrix(T, modes, n_modes):
+    """Symplectic X of a beam splitter of transmissivity T mixing ``modes``.
+
+    X is embedded in ``n_modes`` modes (identity on the others), so a CM
+    transforms as X sigma X^T and first moments as X d.
+    """
+    t, r = np.sqrt(T), np.sqrt(1.0 - T)
+    s = np.block([[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]])
+    return _embed(s, modes, n_modes)[0]
 
 
 def beam_splitter(T):
     """Two-mode beam splitter of transmissivity T (symplectic)."""
-    t, r = np.sqrt(T), np.sqrt(1.0 - T)
-    s = np.block([[t * np.eye(2), r * np.eye(2)], [-r * np.eye(2), t * np.eye(2)]])
-    return GaussianChannel(s, np.zeros((4, 4)), kind="beam-splitter")
+    return GaussianChannel(beam_splitter_matrix(T, [0, 1], 2), np.zeros((4, 4)))
 
 
 def two_mode_squeezer(r):
@@ -268,20 +245,20 @@ def two_mode_squeezer(r):
     sz = np.diag([1.0, -1.0])
     c, s = np.cosh(r), np.sinh(r)
     smat = np.block([[c * np.eye(2), s * sz], [s * sz, c * np.eye(2)]])
-    return GaussianChannel(smat, np.zeros((4, 4)), kind="two-mode-squeezer")
+    return GaussianChannel(smat, np.zeros((4, 4)))
 
 
 def phase_shift(theta):
     """Single-mode phase rotation by theta."""
     c, s = np.cos(theta), np.sin(theta)
     smat = np.array([[c, s], [-s, c]])
-    return GaussianChannel(smat, np.zeros((2, 2)), kind="phase-shift")
+    return GaussianChannel(smat, np.zeros((2, 2)))
 
 
 def _embed(mat, modes, n_total):
     """Embed a channel matrix acting on ``modes`` into n_total modes."""
     full = np.eye(2 * n_total)
-    idx = np.concatenate([(2 * m, 2 * m + 1) for m in np.atleast_1d(modes)])
+    idx = _quad_indices(modes)
     full[np.ix_(idx, idx)] = mat
     return full, idx
 
@@ -394,69 +371,43 @@ def mean_photons(state):
 # conditioning and mutual information
 # ----------------------------------------------------------------------
 
-def _homodyne_pinv(sigma_b, quad):
-    """Moore-Penrose limit of (sigma_B + sigma_m)^-1 for homodyne."""
-    inv = np.zeros_like(sigma_b)
-    inv[quad, quad] = 1.0 / sigma_b[quad, quad]
-    return inv
+def condition_on_measurement(cm, measured_mode, quad=0):
+    """CM of the other modes given a homodyne of ``quad`` on ``measured_mode``.
 
-
-def condition_on_measurement(joint, meas, measured_mode, outcome=None):
-    """Condition a Gaussian state on a Gaussian measurement of one mode.
-
-    For homodyne the exact rank-degenerate limit is used: only the
-    measured quadrature's row/column of (sigma_B)^-1 survives, so no
-    finite-z approximation ever enters.  ``outcome`` is the measured
-    phase-space point (length 2; for homodyne only the measured
-    quadrature component is read).
-
-    Returns the conditional GaussianState of the remaining modes.
+    ``quad`` is 0 for q and 1 for p.  The exact rank-degenerate limit is
+    used: only the measured quadrature's entry of (sigma_B)^-1 survives,
+    sigma_A|B = sigma_A - C (Pi sigma_B Pi)^MP C^T, so no finite-z
+    approximation ever enters.
     """
-    if joint.n_modes < 2:
+    cm = np.asarray(cm, dtype=float)
+    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
+        raise ValueError("cm must be a 2n x 2n matrix")
+    n = cm.shape[0] // 2
+    if n < 2:
         raise ValueError("need at least two modes to condition")
-    keep = [m for m in range(joint.n_modes) if m != measured_mode]
-    ia = joint.mode_indices(keep)
-    ib = joint.mode_indices([measured_mode])
-    sa = joint.cm[np.ix_(ia, ia)]
-    sb = joint.cm[np.ix_(ib, ib)]
-    sz = joint.cm[np.ix_(ia, ib)]
-    if outcome is None:
-        outcome = np.zeros(2)
-    outcome = np.asarray(outcome, dtype=float)
-    if meas.is_homodyne:
-        inv = _homodyne_pinv(sb, meas.quadrature)
-    else:
-        m = sb + meas.cm_m
-        det = np.linalg.det(m)
-        if det <= 0:
-            raise ValueError("singular measurement covariance")
-        inv = np.linalg.inv(m)
-    cm = sa - sz @ inv @ sz.T
-    fm = joint.fm[ia] + sz @ inv @ (outcome - joint.fm[ib])
-    cm = (cm + cm.T) / 2.0
-    return GaussianState(fm, cm, check=False)
+    if measured_mode not in range(n):
+        raise ValueError(f"measured_mode must lie in 0..{n - 1}, got {measured_mode!r}")
+    if quad not in (0, 1):
+        raise ValueError(f"quad must be 0 (q) or 1 (p), got {quad!r}")
+    ia = _quad_indices([m for m in range(n) if m != measured_mode])
+    ib = 2 * measured_mode + quad
+    sz = cm[ia, ib]
+    out = cm[np.ix_(ia, ia)] - np.outer(sz * (1.0 / cm[ib, ib]), sz)
+    return (out + out.T) / 2.0
 
 
-def _meas_functional(sigma, meas):
-    """det(sigma + cm_m), or the measured variance in the homodyne limit."""
-    if meas.is_homodyne:
-        return sigma[meas.quadrature, meas.quadrature]
-    return np.linalg.det(sigma + meas.cm_m)
+def gaussian_mutual_information(cm, quad=0):
+    """Mutual information (bits) of a two-mode CM: heterodyne A, homodyne B.
 
-
-def gaussian_mutual_information(joint, meas_a, meas_b):
-    """Mutual information (bits) of Gaussian measurements on a 2-mode state.
-
-    Equals (1/2) log2 { det[sigma_A + m_A] det[sigma_B + m_B] /
-    det[sigma_AB + m_A (+) m_B] }, with homodyne limits taken
-    analytically through the equivalent Schur-complement form.
+    Equals (1/2) log2 { det[sigma_A + 1] / det[sigma_A|B + 1] } with
+    sigma_A|B Alice's CM conditioned on Bob's homodyne of ``quad``, the
+    exact Schur-complement form of the determinant ratio.
     """
-    if joint.n_modes != 2:
-        raise ValueError("mutual information requires a 2-mode state")
-    sa = joint.cm[:2, :2]
-    cond = condition_on_measurement(joint, meas_b, measured_mode=1)
-    num = _meas_functional(sa, meas_a)
-    den = _meas_functional(cond.cm, meas_a)
+    cm = np.asarray(cm, dtype=float)
+    if cm.shape != (4, 4):
+        raise ValueError("mutual information requires a 2-mode CM")
+    num = np.linalg.det(cm[:2, :2] + np.eye(2))
+    den = np.linalg.det(condition_on_measurement(cm, 1, quad) + np.eye(2))
     if num <= 0 or den <= 0:
         raise ValueError("non-positive determinant argument")
     return 0.5 * np.log2(num / den)

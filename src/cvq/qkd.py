@@ -134,12 +134,10 @@ def _two_mode_cm(v, t, chi, z):
     )
 
 
-def holevo_from_cm(cm, measured_mode=1, meas=gs.HOMODYNE_Q):
-    """chi(B;E) = S(full) - S(rest | measurement) for a purifiable CM."""
+def holevo_from_cm(cm, measured_mode=1, quad=0):
+    """chi(B;E) = S(full) - S(rest | homodyne of ``quad``) for a purifiable CM."""
     s_all = gs.entropy_cm(cm)
-    state = gs.GaussianState(np.zeros(cm.shape[0]), cm, check=False)
-    cond = gs.condition_on_measurement(state, meas, measured_mode)
-    return s_all - gs.entropy_cm(cond.cm)
+    return s_all - gs.entropy_cm(gs.condition_on_measurement(cm, measured_mode, quad))
 
 
 def _rate_result(parts, beta, x, box, n_grid, tol, name="alpha2", **params):
@@ -464,9 +462,8 @@ def _trusted_cm(alpha2, channel, scenario):
     v_d = 1.0 + 2.0 * nbar_d
     sigma_c = _two_mode_cm(v_d, 1.0, 0.0, math.sqrt(v_d * v_d - 1.0))
     full = linalg.block_diag(sigma_ab, sigma_c)
-    state = gs.GaussianState(np.zeros(8), full, check=False)
-    state = gs.apply_channel(state, gs.beam_splitter(eta), modes=[1, 2])
-    return state.cm
+    x = gs.beam_splitter_matrix(eta, [1, 2], 4)
+    return x @ full @ x.T
 
 
 def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
@@ -484,15 +481,9 @@ def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
     def parts(a2):
         i_ab = psk_mutual_information(4, a2, total)
         cm = _trusted_cm(a2, channel, scenario)
-        if scenario.tag == "tL;tN":
-            keep = [0, 1, 2, 3]  # A, B, C1, C2
-        elif scenario.tag == "tL;uN":
-            keep = [0, 1, 2]
-        else:
-            keep = [0, 1]
-        idx = np.concatenate([(2 * m, 2 * m + 1) for m in keep])
-        sub = cm[np.ix_(idx, idx)]
-        chi_be = holevo_from_cm(sub, measured_mode=1)
+        # Eve's bound keeps the trusted leading modes of (A, B, C1, C2)
+        n_keep = {"tL;tN": 4, "tL;uN": 3, "uL;uN": 2}[scenario.tag]
+        chi_be = holevo_from_cm(cm[:2 * n_keep, :2 * n_keep])
         return i_ab, chi_be
 
     return _rate_result(parts, beta, alpha2, alpha2_box, 25, 3e-6)
@@ -669,10 +660,9 @@ def _eve_dilation(alpha2, channel):
     """
     t, eps = channel.T, channel.eps
     v_eps = 1.0 + t * eps / (1.0 - t) if t < 1.0 else 1.0
-    tmsv = gs.make_state("tmsv", V=v_eps)
-    cm0 = linalg.block_diag(np.eye(2), tmsv.cm)
-    bs = gs.beam_splitter(t)
-    s_full = linalg.block_diag(bs.x_mat, np.eye(2))
+    z_eps = math.sqrt(v_eps * v_eps - 1.0)
+    cm0 = linalg.block_diag(np.eye(2), _two_mode_cm(v_eps, 1.0, 0.0, z_eps))
+    s_full = gs.beam_splitter_matrix(t, [0, 1], 3)
     cm = s_full @ cm0 @ s_full.T
     fms = np.array([s_full @ np.array([2 * a.real, 2 * a.imag, 0, 0, 0, 0])
                     for a in _qpsk_amps(alpha2)])
@@ -683,10 +673,8 @@ def _eve_dilation(alpha2, channel):
     idx_e = np.array([2, 3, 4, 5])
     cm_e = cm[np.ix_(idx_e, idx_e)]
     fm_e = fms[:, idx_e]
-    nb = max(
-        gs.mean_photons(gs.GaussianState(f, cm_e, check=False)) / 2.0
-        for f in fm_e
-    )
+    # largest mean photon number per mode over the four symbols
+    nb = (np.trace(cm_e) - 4.0 + np.max(np.sum(fm_e**2, axis=1))) / 8.0
     cutoff = min(max(6, int(np.ceil(4.0 * (nb + 1.0))) + 2), WIRETAP_FOCK_CAP)
     while True:
         rho_bar = gs._fock_batch(cm_e, fm_e, (cutoff, cutoff)).mean(axis=0)
@@ -700,10 +688,9 @@ def _eve_dilation(alpha2, channel):
             PrecisionWarning,
         )
     s_e = float(_entropy_batch(rho_bar))
-    state = gs.GaussianState(np.zeros(6), cm, check=False)
-    cond = gs.condition_on_measurement(state, gs.HOMODYNE_Q, measured_mode=0)
+    cond = gs.condition_on_measurement(cm, 0)
     gain = cm[idx_e, 0] / var_b  # sigma_EB * pinv
-    return _displaced_gram(cond.cm, fm_e - gain * means[:, None]), s_e, means, var_b
+    return _displaced_gram(cond, fm_e - gain * means[:, None]), s_e, means, var_b
 
 
 def _wiretap_chi(alpha2, channel, n_nodes):

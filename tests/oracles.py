@@ -9,6 +9,8 @@ construction that shares no code with ``cvq.qkd``:
   ``scipy.integrate.quad``;
 * chi_BE from the closed-form symplectic eigenvalues of the two-mode CM
   and of Alice's mode conditioned on Bob's q-homodyne outcome;
+* homodyne conditioning as the z -> 0 limit of a finite-variance
+  Gaussian measurement, sigma_A - C (sigma_B + diag(z, 1/z))^-1 C^T;
 * Eve's conditional entropies in the thermal wiretap model from two-mode
   Fock matrices (``cvq.gaussian``'s Fock expansion) and a dense
   ``numpy`` eigvalsh, the construction the Gram kernel replaced.
@@ -154,3 +156,18 @@ def fock_conditional_entropy(cm_cond, cond_fms, wk, cutoff):
     with np.errstate(divide="ignore", invalid="ignore"):
         s = -np.sum(np.where(ev > 0.0, ev * np.log2(np.where(ev > 0.0, ev, 1.0)), 0.0), axis=-1)
     return s, defect
+
+
+def finite_z_homodyne(cm, measured_mode, quad, z):
+    """CM of the other modes after a finite-z measurement of one mode.
+
+    The measurement has covariance diag(z, 1/z) (q, quad = 0) or
+    diag(1/z, z) (p, quad = 1), so the CM is the Schur complement
+    sigma_A - C (sigma_B + sigma_m)^-1 C^T; homodyne is its z -> 0 limit.
+    """
+    cm = np.asarray(cm, dtype=float)
+    ib = [2 * measured_mode, 2 * measured_mode + 1]
+    ia = [i for i in range(cm.shape[0]) if i not in ib]
+    sigma_m = np.diag([z, 1.0 / z] if quad == 0 else [1.0 / z, z])
+    c = cm[np.ix_(ia, ib)]
+    return cm[np.ix_(ia, ia)] - c @ np.linalg.solve(cm[np.ix_(ib, ib)] + sigma_m, c.T)

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cvq import amplifiers as amp
 from cvq import binary, cli, detectors, gaussian as gs, kor, mary, qkd

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 

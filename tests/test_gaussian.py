@@ -9,6 +9,8 @@ from scipy import linalg
 from cvq import gaussian as gs
 from cvq.numerics import PrecisionWarning
 
+import oracles
+
 
 def random_physical_cm(rng, n_modes, nu_max=3.0):
     """sigma = S diag(nu) S^T with S = expm(Omega H), H symmetric."""
@@ -153,16 +155,14 @@ class TestConditioning:
         joint = gs.make_state("thermal", nbar=0.5).tensor(
             gs.make_state("coherent", alpha=0.3)
         )
-        for meas in (gs.HOMODYNE_Q, gs.HOMODYNE_P, gs.DOUBLE_HOMODYNE):
-            cond = gs.condition_on_measurement(joint, meas, measured_mode=1)
-            assert np.allclose(cond.cm, 2.0 * np.eye(2))
+        for quad in (0, 1):
+            cond = gs.condition_on_measurement(joint.cm, 1, quad)
+            assert np.allclose(cond, 2.0 * np.eye(2))
 
     def test_tmsv_homodyne_symbolic(self):
         v = 2.7
-        cond = gs.condition_on_measurement(
-            gs.make_state("tmsv", V=v), gs.HOMODYNE_Q, measured_mode=1
-        )
-        assert np.allclose(cond.cm, np.diag([1 / v, v]), atol=1e-12)
+        cond = gs.condition_on_measurement(gs.make_state("tmsv", V=v).cm, 1)
+        assert np.allclose(cond, np.diag([1 / v, v]), atol=1e-12)
 
     def test_gg02_conditional_matrix(self):
         v, t, eps = 4.0, 0.4, 0.02
@@ -171,36 +171,51 @@ class TestConditioning:
             gs.make_state("tmsv", V=v), gs.thermal_loss_channel(t, nbar), modes=[1]
         )
         chi = (1 - t) / t + eps
-        cond = gs.condition_on_measurement(joint, gs.HOMODYNE_Q, measured_mode=1)
+        cond = gs.condition_on_measurement(joint.cm, 1)
         expect = np.diag([v - (v * v - 1) / (v + chi), v])
-        assert np.allclose(cond.cm, expect, atol=1e-12)
+        assert np.allclose(cond, expect, atol=1e-12)
 
-    def test_fm_shift(self):
-        joint = gs.make_state("tmsv", V=2.0)
-        cond = gs.condition_on_measurement(
-            joint, gs.HOMODYNE_Q, measured_mode=1, outcome=np.array([1.5, 0.0])
-        )
-        z = math.sqrt(3.0)
-        assert np.allclose(cond.fm, [z / 2.0 * 1.5, 0.0])
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_homodyne_is_finite_z_limit(self, n_modes):
+        # the exact Schur limit against sigma_A - C (sigma_B + diag(z, 1/z))^-1 C^T:
+        # the gap shrinks linearly in z (a factor 100 from z = 1e-4 to 1e-6)
+        rng = np.random.default_rng(11 + n_modes)
+        for _ in range(5):
+            cm, _ = random_physical_cm(rng, n_modes)
+            for mode in range(n_modes):
+                for quad in (0, 1):
+                    exact = gs.condition_on_measurement(cm, mode, quad)
+                    gaps = [
+                        np.max(np.abs(oracles.finite_z_homodyne(cm, mode, quad, z) - exact))
+                        for z in (1e-4, 1e-6)
+                    ]
+                    assert gaps[1] < 0.02 * gaps[0] + 1e-9
+                    assert gaps[1] < 1e-4
 
-    def test_singular_general_measurement(self):
-        joint = gs.make_state("tmsv", V=2.0)
-        bad = gs.MeasurementSpec("general", cm_m=-2.0 * np.eye(2))
-        with pytest.raises(ValueError):
-            gs.condition_on_measurement(joint, bad, measured_mode=1)
+    @pytest.mark.parametrize("mode, quad", [(-1, 0), (2, 0), (1, 2), (1, -1)])
+    def test_bad_mode_or_quadrature_rejected(self, mode, quad):
+        cm = gs.make_state("tmsv", V=3.0).cm
+        with pytest.raises(ValueError, match="measured_mode|quad"):
+            gs.condition_on_measurement(cm, mode, quad)
+
+    def test_single_mode_or_odd_shape_rejected(self):
+        with pytest.raises(ValueError, match="two modes"):
+            gs.condition_on_measurement(np.eye(2), 0)
+        with pytest.raises(ValueError, match="2n x 2n"):
+            gs.condition_on_measurement(np.eye(5), 0)
 
 
 class TestMutualInformation:
     def test_zero_coupling(self):
         joint = gs.make_state("thermal", nbar=1.0).tensor(gs.make_state("vacuum"))
-        i = gs.gaussian_mutual_information(joint, gs.DOUBLE_HOMODYNE, gs.HOMODYNE_Q)
+        i = gs.gaussian_mutual_information(joint.cm)
         assert abs(i) < 1e-12
 
     def test_lossless_symbolic(self):
         # V, T = 1, eps = 0, DH x homodyne: I = log2(V)/2
         v = 6.0
         joint = gs.make_state("tmsv", V=v)
-        i = gs.gaussian_mutual_information(joint, gs.DOUBLE_HOMODYNE, gs.HOMODYNE_Q)
+        i = gs.gaussian_mutual_information(joint.cm)
         assert abs(i - 0.5 * math.log2(v)) < 1e-12
 
     def test_gg02_value(self):
@@ -209,8 +224,12 @@ class TestMutualInformation:
         joint = gs.apply_channel(
             gs.make_state("tmsv", V=v), gs.thermal_loss_channel(t, nbar), modes=[1]
         )
-        i = gs.gaussian_mutual_information(joint, gs.DOUBLE_HOMODYNE, gs.HOMODYNE_Q)
+        i = gs.gaussian_mutual_information(joint.cm)
         assert abs(i - 0.5 * math.log2(1 + t * (v - 1) / (1 + t * eps))) < 1e-12
+
+    def test_requires_two_modes(self):
+        with pytest.raises(ValueError, match="2-mode"):
+            gs.gaussian_mutual_information(np.eye(6))
 
 
 class TestFock:

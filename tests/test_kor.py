@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from cvq import gaussian as gs
 from cvq import kor, mary, qkd

@@ -66,8 +66,14 @@ class TestGg02:
             gs.thermal_loss_channel(ch.T, ch.nbar_T),
             modes=[1],
         )
-        i2 = gs.gaussian_mutual_information(st0, gs.DOUBLE_HOMODYNE, gs.HOMODYNE_Q)
+        i2 = gs.gaussian_mutual_information(st0.cm)
         assert abs(r.I_AB - i2) < 1e-12
+
+    @pytest.mark.parametrize("mode, quad", [(-1, 0), (2, 0), (1, 2)])
+    def test_holevo_rejects_bad_mode_or_quadrature(self, mode, quad):
+        cm = qkd._two_mode_cm(3.0, 0.5, 1.1, math.sqrt(8.0))
+        with pytest.raises(ValueError, match="measured_mode|quad"):
+            qkd.holevo_from_cm(cm, measured_mode=mode, quad=quad)
 
     def test_decomposition(self):
         r = qkd.gg02_kgr(qkd.ChannelParams.from_distance(80, 0.02), BETA)
@@ -384,9 +390,9 @@ class TestWiretap:
             seen["fm_e"] = fms
             return fock(cm, fms, cutoffs)
 
-        def condition_spy(state, meas, measured_mode):
-            seen["cm"] = state.cm
-            seen["cond"] = condition(state, meas, measured_mode)
+        def condition_spy(cm, measured_mode, quad=0):
+            seen["cm"] = cm
+            seen["cond"] = condition(cm, measured_mode, quad)
             return seen["cond"]
 
         monkeypatch.setattr(gs, "_fock_batch", fock_spy)
@@ -401,7 +407,7 @@ class TestWiretap:
         pb, s_gram = qkd._posterior_entropy(gram, lik)
         cond_fms = seen["fm_e"][None] + gain * (xs[:, None] - means[None, :])[:, :, None]
         s, defect = oracles.fock_conditional_entropy(
-            seen["cond"].cm, cond_fms, lik / (4.0 * pb[:, None]), 12
+            seen["cond"], cond_fms, lik / (4.0 * pb[:, None]), 12
         )
         assert defect < 1e-11
         assert np.max(np.abs(s - s_gram)) < 1e-10
