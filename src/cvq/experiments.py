@@ -353,7 +353,7 @@ def kor_ratio_exp(profile, params):
 
     def row(d):
         t = 10.0 ** (-0.2 * d / 10.0)
-        rdh = kor.dh_rate(t, beta, nodes=nodes)
+        rdh = kor.dh_rate(t, beta, n_nodes=nodes)
         rpgm = kor.optimize_kor(t, beta, mode="PGM")
         rkor = kor.optimize_kor(t, beta, mode="KOR", lattice=lattice)
         ph = kor.canonical_phases(rkor.params["phases"])

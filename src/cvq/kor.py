@@ -17,15 +17,15 @@ import numpy as np
 
 from . import gaussian as gs
 from . import mary
-from .numerics import simpson_weights
 from .qkd import (
     KgrResult,
     _entropy_rows,
+    _eve_pure_loss,
+    _mixture_hb,
+    _outcome_chi,
     _posterior_entropy,
     _qpsk_amps,
     _rate_result,
-    coherent_overlap_matrix,
-    qpsk_mixture_eigenvalues,
 )
 
 __all__ = [
@@ -64,9 +64,7 @@ def _rates_from_cond(cond, alpha2, t, beta):
     overlap matrix.
     """
     cond = np.asarray(cond, dtype=float)
-    ev_e = qpsk_mixture_eigenvalues((1.0 - t) * alpha2)
-    s_e = float(_entropy_rows(ev_e[None])[0])
-    gram = coherent_overlap_matrix(math.sqrt(1.0 - t) * _qpsk_amps(alpha2))
+    gram, s_e, _, _ = _eve_pure_loss(alpha2, t)
     # likelihoods in the (..., outcome j, state k) layout
     p_b, s_cond = _posterior_entropy(gram, np.swapaxes(cond, -1, -2))
     i_ab = _entropy_rows(p_b) - _entropy_rows(cond).mean(axis=-1)
@@ -115,12 +113,12 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
         _, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
         return float(i_ab), float(chi)
 
+    if mode not in ("KOR", "PGM"):
+        raise ValueError("mode must be 'KOR' or 'PGM'")
     pgm = _rate_result(pgm_parts, beta, None, alpha2_box, 31, 1e-7, phases=np.zeros(4))
     if mode == "PGM":
         return pgm
     a_pgm, k_pgm_opt = pgm.params["alpha2"], pgm.K
-    if mode != "KOR":
-        raise ValueError("mode must be 'KOR' or 'PGM'")
 
     axes = np.linspace(0.0, 2.0 * np.pi, lattice, endpoint=False)
     mesh = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -155,42 +153,23 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
     )
 
 
-def dh_rate(t, beta, alpha2=None, nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResult:
+def dh_rate(t, beta, alpha2=None, n_nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResult:
     """Double-homodyne baseline over the same wiretap channel.
 
-    The conditional Eve entropy is a two-dimensional composite-Simpson
-    integral over both quadrature outcomes (grid mean +/- 7 sigma) on
-    ``nodes`` (odd) nodes per axis.
+    Bob reads both quadratures, each of variance 2; given the symbol they
+    are independent, so H(B) is twice the one-quadrature mixture entropy.
+    Eve's side is the two-axis case of ``_outcome_chi``, ``n_nodes`` (odd)
+    Simpson nodes per axis on the quadrant b >= 0.
     """
-    wts = simpson_weights(nodes)
 
     def parts(a2):
-        amps = _qpsk_amps(a2)
-        mx = 2.0 * math.sqrt(t) * np.real(amps)
-        my = 2.0 * math.sqrt(t) * np.imag(amps)
+        gram, s_e, _, _ = _eve_pure_loss(a2, t)
+        amps = 2.0 * math.sqrt(t) * _qpsk_amps(a2)
+        means = np.stack([amps.real, amps.imag], axis=1)
         var = 2.0
-        sd = math.sqrt(var)
-        lim = 2.0 * math.sqrt(t * a2) + 7.0 * sd
-        xs = np.linspace(-lim, lim, nodes)
-        px = np.exp(-((xs[None, :] - mx[:, None]) ** 2) / (2 * var))
-        py = np.exp(-((xs[None, :] - my[:, None]) ** 2) / (2 * var))
-        pk = (
-            px[:, :, None] * py[:, None, :] / (2.0 * math.pi * var)
-        )  # (k, x, y)
-        # Eve's side
-        ev_e = qpsk_mixture_eigenvalues((1.0 - t) * a2)
-        s_e = float(_entropy_rows(ev_e[None])[0])
-        gram = coherent_overlap_matrix(math.sqrt(1.0 - t) * amps)
-        pb, s_cond = _posterior_entropy(gram, np.moveaxis(pk, 0, -1))
-        # mutual information
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(pb > 0, -pb * np.log2(np.where(pb > 0, pb, 1.0)), 0.0)
-        step = xs[1] - xs[0]
-        w2 = np.outer(wts, wts) * step * step / 9.0
-        h_b = float(np.sum(w2 * integrand))
+        h_b = 2.0 * _mixture_hb(means[:, 0], np.full(4, 0.25), var)
         i_ab = h_b - math.log2(2.0 * math.pi * math.e * var)
-        chi = s_e - float(np.sum(w2 * pb * s_cond))
-        return i_ab, max(chi, 0.0)
+        return i_ab, max(_outcome_chi(gram, s_e, means, var, n_nodes), 0.0)
 
     return _rate_result(parts, beta, alpha2, alpha2_box, 17, 2e-5)
 

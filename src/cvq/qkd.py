@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy import linalg, special
@@ -573,20 +574,6 @@ def mixture_entropy(weights, components) -> float:
     return float(_entropy_batch(_weighted_gram(w, gram)))
 
 
-def qpsk_mixture_eigenvalues(energy):
-    """Closed-form spectrum of the balanced QPSK coherent mixture."""
-    a2 = energy
-    e = math.exp(-a2)
-    return np.array(
-        [
-            0.5 * e * (math.cosh(a2) + math.cos(a2)),
-            0.5 * e * (math.cosh(a2) - math.cos(a2)),
-            0.5 * e * (math.sinh(a2) + abs(math.sin(a2))),
-            0.5 * e * (math.sinh(a2) - abs(math.sin(a2))),
-        ]
-    )
-
-
 # ----------------------------------------------------------------------
 # wiretap QPSK
 # ----------------------------------------------------------------------
@@ -644,7 +631,7 @@ def _eve_pure_loss(alpha2, t):
     """(G, S(E), Bob's means, Bob's variance) when Eve holds the reflected field."""
     amps = _qpsk_amps(alpha2)
     gram = coherent_overlap_matrix(math.sqrt(1.0 - t) * amps)
-    s_e = float(_entropy_batch(_weighted_gram(np.full(4, 0.25), gram)))
+    s_e = float(_entropy_batch(gram / 4.0))  # equal weights: rho has the spectrum of G/4
     return gram, s_e, 2.0 * math.sqrt(t) * np.real(amps), 1.0
 
 
@@ -693,26 +680,33 @@ def _eve_dilation(alpha2, channel):
     return _displaced_gram(cond, fm_e - gain * means[:, None]), s_e, means, var_b
 
 
-def _wiretap_chi(alpha2, channel, n_nodes):
-    """Holevo information chi(B;E) = S(E) - int p(x) S(E|x) dx.
+def _outcome_chi(gram, s_e, means, var, n_nodes):
+    """chi = S(E) - int p(b) S(E|b) db over Bob's Gaussian outcome b.
 
-    Pure loss (eps = 0) and the thermal dilation differ only in Eve's
-    Gram matrix, S(E) and Bob's statistics; the integrand is symmetric
-    in x, so Simpson's rule runs on x >= 0.
+    b given symbol k has mean ``means[k]`` (shape (K, d): d = 1 for
+    homodyne, 2 for double homodyne) and variance ``var`` per axis.
+    p(b) S(E|b) is even in each b_i (a reflection conjugates Eve's
+    weighted Gram matrix, keeping its spectrum), so Simpson's rule runs
+    on b >= 0 out to max|m| + 8 sigma, on ``n_nodes`` (odd) nodes per axis.
     """
+    d = means.shape[1]
+    wts = reduce(np.multiply.outer, [simpson_weights(n_nodes)] * d)
+    xs = np.linspace(0.0, np.max(np.abs(means)) + 8.0 * math.sqrt(var), n_nodes)
+    # p(b_i|k) of each axis i as [i, node, k]; p(b|k) is their product
+    px = np.exp(-((xs[None, :, None] - means.T[:, None, :]) ** 2) / (2.0 * var))
+    px /= math.sqrt(2.0 * math.pi * var)
+    pb, s_cond = _posterior_entropy(gram, reduce(lambda a, p: a[..., None, :] * p, px))
+    step = xs[1] - xs[0]
+    return s_e - float(np.sum(wts * (2.0**d * pb * s_cond)) * step**d / 3.0**d)
+
+
+def _wiretap_chi(alpha2, channel, n_nodes):
+    """chi(B;E) of homodyne QPSK when Eve holds the pure- or thermal-loss environment."""
     if channel.eps > 0.0:
         gram, s_e, means, var = _eve_dilation(alpha2, channel)
     else:
         gram, s_e, means, var = _eve_pure_loss(alpha2, channel.T)
-    xmax = np.max(np.abs(means)) + 8.0 * math.sqrt(var)
-    xs = np.linspace(0.0, xmax, n_nodes)
-    pxk = np.exp(-((xs[None, :] - means[:, None]) ** 2) / (2.0 * var)) / math.sqrt(
-        2.0 * math.pi * var
-    )
-    pb, s_cond = _posterior_entropy(gram, pxk.T)
-    integrand = 2.0 * pb * s_cond
-    step = xs[1] - xs[0]
-    return s_e - float(np.sum(simpson_weights(n_nodes) * integrand) * step / 3.0)
+    return _outcome_chi(gram, s_e, means[:, None], var, n_nodes)
 
 
 def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
@@ -725,8 +719,8 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
     and S(E) is expanded in the Fock basis, its cutoff grown until the
     tail drops below ``gs.FOCK_TAIL_TOL``.  Her states conditioned on
     Bob's homodyne outcome are, in both cases, posterior-weighted
-    mixtures with one fixed 4 x 4 Gram matrix, integrated over the
-    outcome by Simpson's rule on ``n_nodes`` (odd) nodes.
+    mixtures with one fixed 4 x 4 Gram matrix, integrated over x >= 0
+    by ``_outcome_chi`` (one axis) on ``n_nodes`` (odd) Simpson nodes.
     ``loss_model`` only validates: 'pure' requires eps = 0, 'thermal'
     accepts any eps.
     """

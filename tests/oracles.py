@@ -9,6 +9,9 @@ construction that shares no code with ``cvq.qkd``:
   ``scipy.integrate.quad``;
 * chi_BE from the closed-form symplectic eigenvalues of the two-mode CM
   and of Alice's mode conditioned on Bob's q-homodyne outcome;
+* I_AB of double-homodyne QPSK from a full-plane 2-D Simpson rule on
+  the four-component outcome density, with no factorization assumed;
+* the closed-form spectrum of the balanced QPSK coherent mixture;
 * homodyne conditioning as the z -> 0 limit of a finite-variance
   Gaussian measurement, sigma_A - C (sigma_B + diag(z, 1/z))^-1 C^T;
 * Eve's conditional entropies in the thermal wiretap model from two-mode
@@ -26,6 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from cvq import gaussian as gs
+from cvq.numerics import simpson_weights
 
 
 def coherent_fock(alphas, cutoff):
@@ -73,6 +77,40 @@ def homodyne_mi(means, weights, var):
     h_b, _ = integrate.quad(integrand, lo, hi, points=np.unique(means),
                             limit=400, epsabs=1e-14, epsrel=1e-13)
     return h_b - 0.5 * math.log2(2.0 * math.pi * math.e * var)
+
+
+def double_homodyne_mi(means, var, n_nodes=601, width=12.0):
+    """I_AB (bits) of equiprobable symbols read out in both quadratures.
+
+    ``means`` is (K, 2); each outcome is Gaussian with variance ``var``
+    per axis.  H(B) = -int p log2 p over the square of half-width
+    max|m| + ``width`` sigma, by the tensor Simpson rule on ``n_nodes``
+    (odd) nodes per axis.
+    """
+    means = np.asarray(means, dtype=float)
+    lim = float(np.max(np.abs(means))) + width * math.sqrt(var)
+    xs = np.linspace(-lim, lim, n_nodes)
+    dx = xs[:, None, None] - means[None, None, :, 0]
+    dy = xs[None, :, None] - means[None, None, :, 1]
+    p = np.exp(-(dx * dx + dy * dy) / (2.0 * var)).mean(axis=-1) / (2.0 * math.pi * var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, -p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    w = simpson_weights(n_nodes)
+    h_b = float(w @ terms @ w) * (xs[1] - xs[0]) ** 2 / 9.0
+    return h_b - math.log2(2.0 * math.pi * math.e * var)
+
+
+def qpsk_mixture_eigenvalues(energy):
+    """Closed-form spectrum of the balanced QPSK coherent mixture."""
+    e = math.exp(-energy)
+    return np.array(
+        [
+            0.5 * e * (math.cosh(energy) + math.cos(energy)),
+            0.5 * e * (math.cosh(energy) - math.cos(energy)),
+            0.5 * e * (math.sinh(energy) + abs(math.sin(energy))),
+            0.5 * e * (math.sinh(energy) - abs(math.sin(energy))),
+        ]
+    )
 
 
 def _g(nu):

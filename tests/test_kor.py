@@ -1,9 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from cvq import gaussian as gs
 from cvq import kor, mary, qkd
+
+import oracles
 
 BETA = 0.95
 
@@ -76,6 +79,14 @@ class TestOptimizeKor:
         ks, _, _ = kor._rates_from_cond(cond, a2, t, BETA)
         assert np.all(ks <= rk.K + 1e-9)
 
+    def test_bad_mode_raises_before_any_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("receiver statistics computed before mode check")
+
+        monkeypatch.setattr(kor, "_cond_probs_batch", no_search)
+        with pytest.raises(ValueError, match="mode"):
+            kor.optimize_kor(t_of(30.0), BETA, mode="kor")
+
 
 class TestDhRate:
     def test_positive_and_decomposed(self):
@@ -83,9 +94,17 @@ class TestDhRate:
         assert r.K > 0 and r.check_decomposition(1e-12)
 
     def test_node_refinement_stable(self):
-        a = kor.dh_rate(t_of(30.0), BETA, alpha2=0.6, nodes=151).K
-        b = kor.dh_rate(t_of(30.0), BETA, alpha2=0.6, nodes=301).K
+        a = kor.dh_rate(t_of(30.0), BETA, alpha2=0.6, n_nodes=151).K
+        b = kor.dh_rate(t_of(30.0), BETA, alpha2=0.6, n_nodes=301).K
         assert abs(a - b) < 2e-5
+
+    @pytest.mark.parametrize("d, a2", [(1.0, 3.1), (30.8, 0.6), (150.0, 0.48),
+                                       (150.0, 0.01)])
+    def test_mutual_information_matches_full_plane_oracle(self, d, a2):
+        t = t_of(d)
+        amps = 2.0 * math.sqrt(t) * kor._qpsk_amps(a2)
+        ref = oracles.double_homodyne_mi(np.stack([amps.real, amps.imag], axis=1), 2.0)
+        assert abs(kor.dh_rate(t, BETA, alpha2=a2, n_nodes=101).I_AB - ref) < 2e-12
 
 
 class TestQdffreRate:

@@ -151,7 +151,7 @@ class TestQuadrature:
         lambda: simpson_integral(np.exp, 0.0, 1.0, n_points=20),
         lambda: qkd.wiretap_qpsk_kgr(qkd.ChannelParams(0.5), 0.95, "pure",
                                      alpha2=0.4, n_nodes=100),
-        lambda: kor.dh_rate(0.5, 0.95, alpha2=0.4, nodes=100),
+        lambda: kor.dh_rate(0.5, 0.95, alpha2=0.4, n_nodes=100),
     ], ids=["simpson_integral", "wiretap_qpsk_kgr", "dh_rate"])
     def test_even_node_count_raises(self, call):
         with pytest.raises(ValueError, match="odd"):

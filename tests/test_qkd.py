@@ -6,7 +6,7 @@ import pytest
 
 from cvq import gaussian as gs
 from cvq import kor, qkd
-from cvq.numerics import PrecisionWarning
+from cvq.numerics import PrecisionWarning, simpson_weights
 
 import oracles
 
@@ -23,7 +23,7 @@ FRAME_CASES = {
         FRAME_CH, BETA, qkd.TrustScenario("tL;tN", eta=0.7, eps_d=0.01), alpha2=x)),
     "wiretap": ("alpha2", lambda x: qkd.wiretap_qpsk_kgr(
         FRAME_CH, BETA, alpha2=x, n_nodes=41)),
-    "dh": ("alpha2", lambda x: kor.dh_rate(FRAME_CH.T, BETA, alpha2=x, nodes=41)),
+    "dh": ("alpha2", lambda x: kor.dh_rate(FRAME_CH.T, BETA, alpha2=x, n_nodes=41)),
     "qdffre": ("alpha2", lambda x: kor.qdffre_rate(FRAME_CH.T, BETA, 8, alpha2=x)),
 }
 
@@ -311,7 +311,7 @@ class TestMixtureEntropy:
         a2 = 0.7
         amps = math.sqrt(a2) * np.exp(1j * np.pi * (2 * np.arange(4) + 1) / 4)
         got = qkd.mixture_entropy(np.full(4, 0.25), amps)
-        ev = qkd.qpsk_mixture_eigenvalues(a2)
+        ev = oracles.qpsk_mixture_eigenvalues(a2)
         expect = float(-np.sum(ev[ev > 0] * np.log2(ev[ev > 0])))
         assert abs(got - expect) < 1e-10
         assert abs(ev.sum() - 1.0) < 1e-12
@@ -442,6 +442,34 @@ class TestWiretap:
             qkd._wiretap_chi(2.0, ch, 101)
         hits = [w for w in caught if issubclass(w.category, PrecisionWarning)]
         assert len(hits) == 1 and "cap 9" in str(hits[0].message)
+
+    @staticmethod
+    def _full_grid_chi(gram, s_e, means, var, n):
+        """chi by Simpson on the whole line or plane: 2n - 1 nodes per axis."""
+        d = means.shape[1]
+        half = np.linspace(0.0, np.max(np.abs(means)) + 8.0 * math.sqrt(var), n)
+        full = np.concatenate([-half[:0:-1], half])
+        grid = np.stack(np.meshgrid(*[full] * d, indexing="ij"), axis=-1)
+        lik = np.exp(-np.sum((grid[..., None, :] - means) ** 2, axis=-1) / (2.0 * var))
+        pb, s_cond = qkd._posterior_entropy(gram, lik / (2.0 * math.pi * var) ** (d / 2))
+        w = simpson_weights(2 * n - 1)
+        w = w if d == 1 else np.outer(w, w)
+        return s_e - float(np.sum(w * pb * s_cond)) * (half[1] - half[0]) ** d / 3.0**d
+
+    @pytest.mark.parametrize("d_km, a2", [(5.0, 2.0), (40.0, 0.4)])
+    def test_orthant_chi_equals_full_grid(self, d_km, a2):
+        # p(b) S(E|b) is even in each axis, so the orthant rule on n
+        # nodes equals the full rule on 2n - 1 nodes of the same step
+        ch = qkd.ChannelParams.from_distance(d_km, 0.02)
+        gram, s_e, means, var = qkd._eve_dilation(a2, ch)
+        means = means[:, None]
+        assert abs(qkd._outcome_chi(gram, s_e, means, var, 41)
+                   - self._full_grid_chi(gram, s_e, means, var, 41)) < 1e-13
+        gram, s_e, _, _ = qkd._eve_pure_loss(a2, ch.T)
+        amps = 2.0 * math.sqrt(ch.T) * kor._qpsk_amps(a2)
+        means = np.stack([amps.real, amps.imag], axis=1)
+        assert abs(qkd._outcome_chi(gram, s_e, means, 2.0, 41)
+                   - self._full_grid_chi(gram, s_e, means, 2.0, 41)) < 1e-13
 
     def test_wiretap_beats_unconditional(self):
         ch = qkd.ChannelParams.from_distance(30, 0.02)
