@@ -85,7 +85,12 @@ class ReceiverResult:
 
 
 def _gh_phase_nodes(sigma, order=GH_ORDER):
-    """Nodes/weights so that E[f] = sum w f(phi) for phi ~ N(0, sigma^2)."""
+    """Nodes/weights so that E[f] = sum w f(phi) for phi ~ N(0, sigma^2).
+
+    sigma = 0 gives the single node phi = 0 of weight 1.
+    """
+    if sigma == 0.0:
+        return np.zeros(1), np.ones(1)
     t, w = np.polynomial.hermite.hermgauss(order)
     return np.sqrt(2.0) * sigma * t, w / np.sqrt(np.pi)
 
@@ -161,37 +166,25 @@ def _improved_kennedy_beta(alpha):
     return bisect_root(gap, alpha, hi, tol=1e-12)
 
 
-def _phase_noise_pnr(scenario, energy, m):
-    """P_sigma(n|k): PNR(m) statistics of the displaced dephased states.
+def _pnr_stage(scenario, energy):
+    """Photon counting after the nulling displacement, per phase node.
 
     ``energy`` is the signal energy reaching the displacement stage.
-    Returns (P(n|0), P(n|1)) as length m+1 arrays, plus continuous-n
-    callables for the MAP threshold root.
+    Symbols 0 and 1 are counted at rates r_0,1(phi) = 2 eta E
+    (1 -/+ xi cos phi) + nu, so dark counts set nu, visibility xi and
+    phase diffusion the Gauss-Hermite nodes phi.  Returns (phi, weights,
+    n_th, M, miss, false), where per node miss = P(N < n_th | r_1) and
+    false = P(N >= n_th | r_0) under the MAP threshold n_th.
     """
-    eta = scenario.spec.eta
-    sig = scenario.sigma_pd
-    phi, w = _gh_phase_nodes(sig)
-    mu0 = eta * 4.0 * energy * np.sin(phi / 2.0) ** 2
-    mu1 = eta * 4.0 * energy * np.cos(phi / 2.0) ** 2
-
-    def binned(mus):
-        probs = np.stack([det.pnr_weights(mu, m) for mu in mus])
-        return w @ probs
-
-    p0 = binned(mu0)
-    p1 = binned(mu1)
-
-    def cont(mus):
-        def f(nn):
-            vals = np.exp(
-                -mus + nn * np.log(np.maximum(mus, 1e-300)) - special.gammaln(nn + 1.0)
-            )
-            vals = np.where(mus == 0.0, float(nn == 0.0), vals)
-            return float(np.sum(w * vals))
-
-        return f
-
-    return p0, p1, cont(mu0), cont(mu1)
+    spec = scenario.spec
+    phi, w = _gh_phase_nodes(scenario.sigma_pd)
+    swing = 2.0 * spec.eta * energy
+    contrast = spec.xi * np.cos(phi)
+    r0 = swing * (1.0 - contrast) + spec.nu
+    r1 = swing * (1.0 + contrast) + spec.nu
+    m = spec.effective_resolution(4.0 * spec.eta * energy + spec.nu + 1.0)
+    n_th = det.map_threshold(r0, r1, w, m)
+    return phi, w, n_th, m, special.gammaincc(n_th, r1), special.gammainc(n_th, r0)
 
 
 def kennedy_family(scenario: BpskScenario, mode="nulling") -> ReceiverResult:
@@ -227,30 +220,8 @@ def kennedy_family(scenario: BpskScenario, mode="nulling") -> ReceiverResult:
     if mode != "dpnr":
         raise ValueError(f"unknown Kennedy mode {mode!r}")
 
-    m = scenario.spec.effective_resolution(eta * 4.0 * a2 + scenario.spec.nu + 1.0)
-    if kind in ("ideal", "dark"):
-        nu = scenario.spec.nu
-        r0, r1 = nu, eta * 4.0 * a2 + nu
-        p0 = det.pnr_weights(r0, m)
-        p1 = det.pnr_weights(r1, m)
-        n_th = det.map_threshold("dark", alpha2=eta * a2, nu=nu, resolution=m)
-        p_err = 1.0 - 0.5 * float(np.sum(np.maximum(p0, p1)))
-        return ReceiverResult(p_err, {"n_th": n_th, "resolution": m})
-    if kind == "visibility":
-        xi = scenario.spec.xi
-        g_m = eta * 2.0 * a2 * (1.0 - xi)
-        g_p = eta * 2.0 * a2 * (1.0 + xi)
-        p0 = det.pnr_weights(g_m, m)
-        p1 = det.pnr_weights(g_p, m)
-        n_th = det.map_threshold("visibility", alpha2=eta * a2, xi=xi, resolution=m)
-        p_err = 1.0 - 0.5 * float(np.sum(np.maximum(p0, p1)))
-        return ReceiverResult(p_err, {"n_th": n_th, "resolution": m})
-    # phase noise: MAP threshold from the continuous-count root
-    p0, p1, c0, c1 = _phase_noise_pnr(scenario, a2, m)
-    n_th = det.map_threshold(
-        "phase-noise", resolution=m, pmf0=lambda n: c0(n), pmf1=lambda n: c1(n)
-    )
-    p_err = 0.5 * (float(np.sum(p1[:n_th])) + float(np.sum(p0[n_th:])))
+    _, w, n_th, m, miss, false = _pnr_stage(scenario, a2)
+    p_err = 0.5 * float(w @ (miss + false))
     return ReceiverResult(p_err, {"n_th": n_th, "resolution": m})
 
 
@@ -325,75 +296,44 @@ def dffre(scenario: BpskScenario, n_copies: int) -> ReceiverResult:
 # hybrid receivers (HL detection + displacement stage)
 # ----------------------------------------------------------------------
 
-def _hl_split_sums(scenario, tau, z):
-    """(sum_{Delta<0} S(a0r), sum_{Delta>=0} S(a0r), same for a1r).
+def _hl_tails(amp, z, spec):
+    """(P(Delta < 0), P(Delta > 0)) of the HL front end on ``amp``.
 
-    a0r/a1r are the reflected amplitudes for symbols 0/1; dark counts
-    and visibility enter the HL statistics following the detector model.
+    By the mirror symmetry P(Delta | -amp) = P(-Delta | amp), the second
+    entry is also P(Delta < 0) for the opposite symbol.
     """
-    a = scenario.alpha
-    ar = math.sqrt(max(1.0 - tau, 0.0)) * a
-    spec = scenario.spec
-    pm0 = det.hl_pmf(+ar, z, spec)
-    pm1 = det.hl_pmf(-ar, z, spec)
-    neg0 = float(np.sum(pm0.probs[pm0.support < 0]))
-    pos0 = 1.0 - neg0
-    neg1 = float(np.sum(pm1.probs[pm1.support < 0]))
-    pos1 = 1.0 - neg1
-    return neg0, pos0, neg1, pos1
+    pm = det.hl_pmf(amp, z, spec)
+    return (float(np.sum(pm.probs[pm.support < 0])),
+            float(np.sum(pm.probs[pm.support > 0])))
 
 
 def _hynore_perr(scenario, tau, z):
-    """Table-driven HYNORE error probability at a working point."""
-    a2 = scenario.alpha2
-    spec = scenario.spec
-    eta, nu, xi = spec.eta, spec.nu, spec.xi
-    kind = scenario.noise_kind
-    neg0, pos0, neg1, pos1 = _hl_split_sums(scenario, tau, z)
+    """HYNORE error probability at a working point (tau, z).
 
-    if kind in ("ideal",):
-        off_bright = math.exp(-4.0 * eta * tau * a2)
-        return 0.5 * off_bright * (neg0 + pos1)
-    if kind == "dark":
-        m = spec.effective_resolution(eta * 4.0 * tau * a2 + nu + 1.0)
-        n_th = det.map_threshold("dark", alpha2=eta * tau * a2, nu=nu, resolution=m)
-        low_bright = _qtilde(eta * 4.0 * tau * a2 + nu, n_th)
-        high_dark = 1.0 - _qtilde(nu, n_th)
-        return 0.5 * (low_bright * (neg0 + pos1) + high_dark * (pos0 + neg1))
-    if kind == "visibility":
-        m = spec.effective_resolution(eta * 4.0 * tau * a2 + 1.0)
-        n_th = det.map_threshold(
-            "visibility", alpha2=eta * tau * a2, xi=xi, resolution=m
-        )
-        g_p = eta * tau * 2.0 * a2 * (1.0 + xi)
-        g_m = eta * tau * 2.0 * a2 * (1.0 - xi)
-        low_bright = _qtilde(g_p, n_th)
-        high_dark = 1.0 - _qtilde(g_m, n_th)
-        return 0.5 * (low_bright * (neg0 + pos1) + high_dark * (pos0 + neg1))
-    # phase noise: average the full table over the diffused phase
-    sig = scenario.sigma_pd
-    a = scenario.alpha
-    ar = math.sqrt(max(1.0 - tau, 0.0)) * a
-    m = spec.effective_resolution(eta * 4.0 * tau * a2 + 1.0)
-    _, _, c0, c1 = _phase_noise_pnr(scenario, tau * a2, m)
-    n_th = det.map_threshold(
-        "phase-noise", resolution=m, pmf0=c0, pmf1=c1
-    )
-    phi, w = _gh_phase_nodes(sig)
+    The HL front end guesses from the reflected fraction 1 - tau, the
+    displacement nulls the guess and the PNR stage confirms it or flips
+    it.  Both stages see the same diffused phase, so the decision table
+    is averaged over the phase nodes as a whole.
+    """
+    ar = math.sqrt(max(1.0 - tau, 0.0)) * scenario.alpha
+    phi, w, _, _, miss, false = _pnr_stage(scenario, tau * scenario.alpha2)
     total = 0.0
-    for ph, wt in zip(phi, w):
-        mu0 = spec.eta * 4.0 * tau * a2 * math.sin(ph / 2.0) ** 2
-        mu1 = spec.eta * 4.0 * tau * a2 * math.cos(ph / 2.0) ** 2
-        p_low1 = _qtilde(mu1, n_th)
-        p_high0 = 1.0 - _qtilde(mu0, n_th)
-        pm0 = det.hl_pmf(+ar * np.exp(-1j * ph), z, spec)
-        pm1 = det.hl_pmf(-ar * np.exp(-1j * ph), z, spec)
-        neg0 = float(np.sum(pm0.probs[pm0.support < 0]))
-        neg1 = float(np.sum(pm1.probs[pm1.support < 0]))
+    for ph, wt, p_miss, p_false in zip(phi, w, miss, false):
+        neg0, neg1 = _hl_tails(ar * np.exp(-1j * ph), z, scenario.spec)
         total += wt * 0.5 * (
-            p_low1 * (neg0 + (1.0 - neg1)) + p_high0 * ((1.0 - neg0) + neg1)
+            p_miss * (neg0 + (1.0 - neg1)) + p_false * ((1.0 - neg0) + neg1)
         )
-    return total
+    return float(total)
+
+
+def _unit_min(f, tol):
+    """Minimize f on [0, 1] by golden section, then try both ends."""
+    x, p = golden_min(f, 0.0, 1.0, tol=tol)
+    for x0 in (0.0, 1.0):
+        p0 = f(x0)
+        if p0 < p:
+            x, p = x0, p0
+    return x, p
 
 
 def hynore(scenario: BpskScenario, detection="hl", z=None,
@@ -419,10 +359,7 @@ def hynore(scenario: BpskScenario, detection="hl", z=None,
                 * (1.0 - math.erf(math.sqrt(2.0 * max(1.0 - tau, 0.0)) * a))
             )
 
-        tau, p = golden_min(perr, 0.0, 1.0, tol=1e-10)
-        for t0 in (0.0, 1.0):  # boundary candidates
-            if perr(t0) < p:
-                tau, p = t0, perr(t0)
+        tau, p = _unit_min(perr, 1e-10)
         return ReceiverResult(p, {"tau": tau})
 
     if detection != "hl":
@@ -437,10 +374,7 @@ def hynore(scenario: BpskScenario, detection="hl", z=None,
         def perr_t(tau):
             return _hynore_perr(scenario, min(max(tau, 0.0), 1.0), z)
 
-        tau, p = golden_min(perr_t, 0.0, 1.0, tol=1e-8)
-        for t0 in (0.0, 1.0):
-            if perr_t(t0) < p:
-                tau, p = t0, perr_t(t0)
+        tau, p = _unit_min(perr_t, 1e-8)
         return ReceiverResult(p, {"tau": tau, "z": z})
 
     z_max = math.sqrt(spec.resolution + 3.0)
@@ -480,8 +414,9 @@ def hffre(scenario: BpskScenario, n_copies: int, grid=21) -> ReceiverResult:
     best = {"p": None}
 
     def run(tau, z, n_th):
-        neg0, pos0, neg1, pos1 = _hl_split_sums(scenario, tau, z)
-        p0 = 0.5 * (neg1 + pos0)
+        ar = math.sqrt(max(1.0 - tau, 0.0)) * scenario.alpha
+        neg0, neg1 = _hl_tails(ar, z, spec)
+        p0 = 0.5 * (neg1 + (1.0 - neg0))
         probs, betas = _ff_recursion(
             math.sqrt(tau) * scenario.alpha, n_copies, eta, nu, xi, n_th, p0
         )

@@ -3,9 +3,10 @@
 Covers the truncated-Poisson PNR(M) distribution, interference rates at
 an imperfect beam splitter (visibility xi), the homodyne-like (HL)
 click-difference distribution, and the maximum-a-posteriori decision
-thresholds used by the displacement receivers.  Dark counts compose
-with the quantum efficiency as rate ``eta * mu + nu`` (dark counts are
-not attenuated).
+threshold of a displacement receiver, which takes the count rates of
+the two symbols (averaged over phase nodes when the phase diffuses).
+Dark counts compose with the quantum efficiency as rate
+``eta * mu + nu`` (dark counts are not attenuated).
 """
 
 from __future__ import annotations
@@ -86,10 +87,13 @@ class ClickPmf:
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
+        total = float(probs.sum())
+        if not math.isfinite(total):  # NaN or inf in any entry
+            raise ValueError("non-finite probability")
         if np.any(probs < -1e-15):
             raise ValueError("negative probability")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"pmf sums to {probs.sum()}")
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"pmf sums to {total}")
 
     def mean(self):
         return float(np.sum(self.support * self.probs))
@@ -139,7 +143,8 @@ def interference_rates(alpha_sig, z_lo, phi=0.0, xi=1.0):
     Signal amplitude ``alpha_sig`` (complex), local oscillator |z e^{i
     phi}> with z >= 0, interference visibility xi.  Returns (mu_plus,
     mu_minus); for xi = 1 and real inputs these reduce to
-    |alpha +/- z|^2 / 2.
+    |alpha +/- z|^2 / 2.  Both are >= 0 exactly since xi <= 1; rounding
+    can leave a cancelled port a few ulps below zero, so it is clamped.
     """
     if z_lo < 0:
         raise ValueError("local-oscillator amplitude must be >= 0")
@@ -147,7 +152,7 @@ def interference_rates(alpha_sig, z_lo, phi=0.0, xi=1.0):
     cross = 2.0 * xi * z_lo * np.real(alpha_sig * np.exp(-1j * phi))
     mu_p = (a2 + z_lo**2 + cross) / 2.0
     mu_m = (a2 + z_lo**2 - cross) / 2.0
-    return float(mu_p), float(mu_m)
+    return float(max(mu_p, 0.0)), float(max(mu_m, 0.0))
 
 
 def hl_pmf(alpha_sig, z_lo, spec: PnrSpec, phi=0.0) -> ClickPmf:
@@ -168,49 +173,40 @@ def hl_pmf(alpha_sig, z_lo, spec: PnrSpec, phi=0.0) -> ClickPmf:
     return ClickPmf(np.arange(-m, m + 1), full)
 
 
-def map_threshold(kind, *, alpha2=None, nu=None, xi=None, resolution=None,
-                  pmf0=None, pmf1=None):
-    """MAP decision threshold n_th for displacement-PNR receivers.
+def map_threshold(rate0, rate1, weights, resolution):
+    """MAP count threshold n_th of a displacement-PNR(M) receiver.
 
-    kind = "dark":      min(ceil(4 a2 / ln(1 + 4 a2 / nu)), M); nu -> 0
-                        returns 1 (on-off limit).
-    kind = "visibility": min(ceil(4 xi a2 / (ln(1+xi) - ln(1-xi))), M).
-    kind = "phase-noise": smallest integer above the root of
-                        P_sigma(n|0) = P_sigma(n|1) in continuous n,
-                        bracketed on [0.5, M + 0.5]; without a sign
-                        change the threshold saturates at M.
-
-    ``alpha2`` is the energy reaching the PNR stage (already rescaled by
-    the receiver's transmissivity when applicable).
+    Symbol k is counted at Poisson rate ``rate_k[j]`` with probability
+    ``weights[j]``: the nodes of a phase average, or one node of weight
+    1 without phase diffusion.  The receiver decides symbol 1 from
+    n_th counts up; n_th is the smallest integer above the root of
+    P(n|0) = P(n|1) in continuous n, kept within [1, M].  One node has
+    the closed-form root (r1 - r0) / ln(r1 / r0).  A mixture is bisected
+    on [0.5, M + 0.5]: a root below the bracket gives 1, and without a
+    sign change the threshold saturates at M.
     """
-    m = resolution
-    if m is None:
-        raise ValueError("resolution is required")
-    if kind == "dark":
-        if nu is None or alpha2 is None:
-            raise ValueError("dark threshold needs alpha2 and nu")
-        if nu == 0.0 or alpha2 == 0.0:
+    r0 = np.asarray(rate0, dtype=float)
+    r1 = np.asarray(rate1, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    m = int(resolution)
+    if r0.size == 1:
+        a, b = float(r0[0]), float(r1[0])
+        if a == 0.0 or a == b:
             return 1
-        n = math.ceil(4.0 * alpha2 / math.log1p(4.0 * alpha2 / nu))
-        return int(min(max(n, 1), m))
-    if kind == "visibility":
-        if xi is None or alpha2 is None:
-            raise ValueError("visibility threshold needs alpha2 and xi")
-        if xi >= 1.0 or alpha2 == 0.0:
-            return 1
-        n = math.ceil(4.0 * xi * alpha2 / (math.log1p(xi) - math.log1p(-xi)))
-        return int(min(max(n, 1), m))
-    if kind == "phase-noise":
-        if pmf0 is None or pmf1 is None:
-            raise ValueError("phase-noise threshold needs pmf0/pmf1 callables")
+        root = (b - a) / math.log(b / a)
+    else:
+        def density(rates, n):
+            with np.errstate(divide="ignore"):
+                logp = -rates + n * np.log(rates) - special.gammaln(n + 1.0)
+            return float(w @ np.exp(logp))
 
         def gap(n):
-            return pmf0(n) - pmf1(n)
+            return density(r0, n) - density(r1, n)
 
-        lo, hi = 0.5, m + 0.5
+        if gap(0.5) <= 0.0:
+            return 1
         try:
-            root = bisect_root(gap, lo, hi, tol=1e-8)
+            root = bisect_root(gap, 0.5, m + 0.5, tol=1e-8)
         except ValueError:
-            return int(m)
-        return int(min(max(math.ceil(root), 1), m))
-    raise ValueError(f"unknown threshold kind {kind!r}")
+            return m
+    return min(max(math.ceil(root), 1), m)

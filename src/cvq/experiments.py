@@ -347,13 +347,12 @@ def plob_exp(profile, params):
                          "and their ratios vs distance")
 def kor_ratio_exp(profile, params):
     beta = float(params.get("beta", 0.95))
-    nodes = 101 if profile == "fast" else 201
     lattice = 8 if profile == "fast" else 16
     ds = _distance_grid(profile, params, d_max=150.0, n_paper=16, n_fast=6)
 
     def row(d):
         t = 10.0 ** (-0.2 * d / 10.0)
-        rdh = kor.dh_rate(t, beta, n_nodes=nodes)
+        rdh = kor.dh_rate(t, beta)
         rpgm = kor.optimize_kor(t, beta, mode="PGM")
         rkor = kor.optimize_kor(t, beta, mode="KOR", lattice=lattice)
         ph = kor.canonical_phases(rkor.params["phases"])

@@ -153,7 +153,7 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
     )
 
 
-def dh_rate(t, beta, alpha2=None, n_nodes=201, alpha2_box=(1e-2, 4.0)) -> KgrResult:
+def dh_rate(t, beta, alpha2=None, n_nodes=101, alpha2_box=(1e-2, 4.0)) -> KgrResult:
     """Double-homodyne baseline over the same wiretap channel.
 
     Bob reads both quadratures, each of variance 2; given the symbol they

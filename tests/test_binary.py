@@ -1,14 +1,41 @@
 import math
 
+import numpy as np
 import pytest
 
 from cvq import binary as b
+from cvq import detectors as det
 from cvq.detectors import PnrSpec
 from cvq.numerics import bisect_root
 
 
 def scen(a2, **kw):
     return b.BpskScenario(a2, **kw)
+
+
+#: one scenario keyword set per defect class of the displacement stage
+DEFECT_CLASSES = {
+    "ideal": {},
+    "eta": {"spec": PnrSpec(resolution=5, eta=0.7)},
+    "dark": {"spec": PnrSpec(resolution=5, nu=1e-3)},
+    "visibility": {"spec": PnrSpec(resolution=5, xi=0.99)},
+    "phase": {"sigma_pd": 0.1},
+}
+
+
+def binwise_map_error(sc, m):
+    """1 - sum_n max(P(n|0), P(n|1)) / 2 from the phase-averaged PNR(m) bins."""
+    if sc.sigma_pd == 0.0:
+        phi, w = np.zeros(1), np.ones(1)
+    else:
+        t, w = np.polynomial.hermite.hermgauss(b.GH_ORDER)
+        phi, w = math.sqrt(2.0) * sc.sigma_pd * t, w / math.sqrt(math.pi)
+    s = sc.spec
+    pmfs = []
+    for sign in (-1.0, 1.0):
+        rates = 2.0 * s.eta * sc.alpha2 * (1.0 + sign * s.xi * np.cos(phi)) + s.nu
+        pmfs.append(w @ np.stack([det.pnr_weights(r, m) for r in rates]))
+    return 1.0 - 0.5 * float(np.sum(np.maximum(*pmfs)))
 
 
 class TestBounds:
@@ -83,6 +110,25 @@ class TestKennedyFamily:
         hi = b.kennedy_family(scen(40.0, spec=spec), "dpnr").p_err
         assert hi > lo
 
+    def test_dpnr_deep_tail(self):
+        # only the bright symbol can err: p = exp(-4 a^2) / 2 exactly
+        for a2 in (8.0, 20.0):
+            p = b.kennedy_family(scen(a2, spec=PnrSpec(resolution=3)), "dpnr").p_err
+            assert abs(p / (0.5 * math.exp(-4.0 * a2)) - 1.0) < 1e-12
+
+    def test_dpnr_non_negative_with_dark_counts(self):
+        assert b.kennedy_family(scen(20.0, spec=PnrSpec(nu=1e-3)), "dpnr").p_err >= 0.0
+
+    def test_dpnr_threshold_is_binwise_map(self):
+        # the likelihood ratio grows with n, so the threshold rule is the
+        # bin-by-bin MAP rule wherever the threshold does not saturate
+        for kw in DEFECT_CLASSES.values():
+            kw = {"spec": PnrSpec(resolution=5), **kw}
+            for a2 in (0.05, 0.5, 1.5, 4.0):
+                r = b.kennedy_family(scen(a2, **kw), "dpnr")
+                assert r.params["n_th"] < 5
+                assert abs(r.p_err - binwise_map_error(scen(a2, **kw), 5)) < 1e-12
+
     def test_rejects_mixed_imperfections(self):
         with pytest.raises(ValueError):
             scen(1.0, spec=PnrSpec(resolution=2, nu=1e-3, xi=0.99))
@@ -141,9 +187,17 @@ class TestHynore:
         assert r.p_err <= b.kennedy_family(scen(2.0)).p_err + 1e-12
 
     def test_phase_noise_matches_dpnr_when_tau_pinned(self):
-        sc = scen(1.0, sigma_pd=0.1, spec=PnrSpec(resolution=3))
-        dp = b.kennedy_family(sc, "dpnr").p_err
-        assert abs(b._hynore_perr(sc, 1.0, 0.5) - dp) < 1e-9
+        for kw in DEFECT_CLASSES.values():
+            kw = {"spec": PnrSpec(resolution=3), **kw}
+            sc = scen(1.0, **kw)
+            dp = b.kennedy_family(sc, "dpnr").p_err
+            assert abs(b._hynore_perr(sc, 1.0, 0.5) - dp) < 1e-9
+
+    def test_cancelled_hl_port(self):
+        # a grid point where the HL port rates cancel to a few ulps
+        sc = scen(1.5, spec=PnrSpec(resolution=3))
+        for r in (b.hynore(sc, grid=21), b.hffre(sc, 2, grid=21)):
+            assert b.helstrom(scen(1.5)) <= r.p_err <= 0.5
 
 
 class TestHffre:

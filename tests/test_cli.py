@@ -99,3 +99,14 @@ class TestCliProcess:
         assert rc == 0  # a PrecisionWarning would give exit code 2
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 1
+
+    def test_bpsk_imperfect_without_dark_counts(self, tmp_path):
+        out = tmp_path / "b.csv"
+        rc = cli.main(["bpsk-imperfect", "--profile", "fast", "--out", str(out),
+                       "--key", "nu=0"])
+        assert rc == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        names = lines[0].split(",")
+        rows = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+        probs = rows[:, [i for i, n in enumerate(names) if n.startswith("P_")]]
+        assert probs.size and np.all((probs >= 0.0) & (probs <= 0.5))

@@ -1,10 +1,18 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cvq import detectors as det
+
+
+class TestClickPmf:
+    def test_rejects_non_finite_probabilities(self):
+        for bad in ([math.nan, math.nan], [0.5, math.inf], [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                det.ClickPmf([0, 1], bad)
 
 
 class TestPnrPmf:
@@ -54,6 +62,11 @@ class TestInterferenceRates:
         mp, mm = det.interference_rates(0.9, 1.3, xi=0.0)
         assert mp == mm == (0.9**2 + 1.3**2) / 2
 
+    def test_cancelled_port_is_not_negative(self):
+        # the cross term rounds a few ulps above a^2 + z^2 here
+        mp, mm = det.interference_rates(0.3674234614174766, 0.3674234614174767)
+        assert mm == 0.0 and mp > 0.0
+
 
 class TestHlPmf:
     def test_point_mass(self):
@@ -81,6 +94,11 @@ class TestHlPmf:
         sk = stats.skellam(mu_p, mu_m)
         assert np.max(np.abs(p.probs - sk.pmf(p.support))) < 1e-12
 
+    def test_cancelled_port_gives_finite_pmf(self):
+        p = det.hl_pmf(0.3674234614174766, 0.3674234614174767,
+                       det.PnrSpec(resolution=3))
+        assert np.all(np.isfinite(p.probs)) and abs(p.probs.sum() - 1.0) < 1e-12
+
     def test_efficiency_rescales_rates(self):
         eta = 0.55
         p1 = det.hl_pmf(0.8, 1.1, det.PnrSpec(resolution=5, eta=eta))
@@ -103,35 +121,50 @@ class TestHlPmf:
         assert np.allclose(pa.probs, pb.probs[::-1], atol=1e-13)
 
 
+def dark_rates(a2, nu):
+    """One-node (rate0, rate1) of the displaced symbols under dark counts."""
+    return [nu], [4 * a2 + nu]
+
+
 class TestMapThreshold:
     def test_on_off_detector(self):
-        assert det.map_threshold("dark", alpha2=5.0, nu=1e-3, resolution=1) == 1
+        assert det.map_threshold(*dark_rates(5.0, 1e-3), [1.0], 1) == 1
 
     def test_dark_limit_zero(self):
-        assert det.map_threshold("dark", alpha2=5.0, nu=0.0, resolution=9) == 1
+        assert det.map_threshold(*dark_rates(5.0, 0.0), [1.0], 9) == 1
 
     def test_saturates_at_resolution(self):
-        assert det.map_threshold("dark", alpha2=200.0, nu=1e-3, resolution=6) == 6
+        assert det.map_threshold(*dark_rates(200.0, 1e-3), [1.0], 6) == 6
 
     def test_dark_formula(self):
         a2, nu = 2.0, 1e-3
         expect = math.ceil(4 * a2 / math.log1p(4 * a2 / nu))
-        assert det.map_threshold("dark", alpha2=a2, nu=nu, resolution=50) == expect
+        assert det.map_threshold(*dark_rates(a2, nu), [1.0], 50) == expect
 
     def test_visibility_formula(self):
         a2, xi = 3.0, 0.99
         expect = math.ceil(4 * xi * a2 / (math.log1p(xi) - math.log1p(-xi)))
-        assert det.map_threshold("visibility", alpha2=a2, xi=xi, resolution=50) == expect
+        rates = [2 * a2 * (1 - xi)], [2 * a2 * (1 + xi)]
+        assert det.map_threshold(*rates, [1.0], 50) == expect
 
     def test_monotone_in_energy(self):
         grid = np.linspace(0.1, 40.0, 25)
-        ths = [det.map_threshold("dark", alpha2=a, nu=1e-3, resolution=64)
-               for a in grid]
+        ths = [det.map_threshold(*dark_rates(a, 1e-3), [1.0], 64) for a in grid]
         assert all(b >= a for a, b in zip(ths, ths[1:]))
 
     def test_phase_noise_no_crossing_returns_resolution(self):
-        n = det.map_threshold(
-            "phase-noise", resolution=4,
-            pmf0=lambda x: 1.0, pmf1=lambda x: 0.5,
-        )
+        # P(n|0) > P(n|1) on the whole bracket: the root lies above M
+        n = det.map_threshold([10.0, 10.0], [30.0, 30.0], [0.5, 0.5], 4)
         assert n == 4
+
+    def test_closed_form_matches_bisection(self):
+        # a one-node pair written as a two-node mixture goes through the
+        # bisection and must land on the closed-form threshold
+        for r0 in (0.0, 1e-3, 0.02, 0.3, 1.7):
+            for r1 in (0.05, 0.9, 2.3, 6.1, 14.7, 33.3):
+                if r1 <= r0:
+                    continue
+                for m in (1, 3, 8, 40):
+                    one = det.map_threshold([r0], [r1], [1.0], m)
+                    two = det.map_threshold([r0, r0], [r1, r1], [0.5, 0.5], m)
+                    assert one == two, (r0, r1, m)
