@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import gaussian as gs
-from .numerics import golden_min, maximize_scalar, minimize_bounded
+from .numerics import golden_min, matrix_stack, maximize_scalar, minimize_bounded, pointwise
 from .qkd import ChannelParams, KgrResult, _two_mode_cm, holevo_from_cm
 
 __all__ = [
@@ -41,7 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpanLink:
-    """M identical spans with equally spaced identical amplifiers."""
+    """M identical spans with equally spaced identical amplifiers.
+
+    ``gain`` may be an array: the link then stands for one link per
+    gain, and the CMs built from it are stacks.
+    """
 
     m_spans: int
     d_km: float
@@ -55,7 +58,7 @@ class SpanLink:
             raise ValueError("need at least one span")
         if self.d_km < 0.0 or self.kappa < 0.0 or self.eps < 0.0:
             raise ValueError("distance, attenuation and excess noise must be >= 0")
-        if self.gain < 1.0:
+        if (np.asarray(self.gain) < 1.0).any():
             raise ValueError("power gain must be >= 1")
         if self.kind not in ("pia", "psa"):
             raise ValueError("kind must be 'pia' or 'psa'")
@@ -97,14 +100,18 @@ def _span_chain(link: SpanLink, n):
     or T / G (p of a PSA), a quadrature variance s leaves the chain as
     tau (s + chi) with tau = x^n and the input-referred noise
     chi = F(x, n) (span_chi + (G - 1) / x [PIA only]), F the geometric
-    factor.  ``n = 0`` gives (1, 0).
+    factor.  ``n = 0`` gives (1, 0).  The powers of an array gain are
+    taken point by point, since NumPy's array power may round
+    differently from the scalar one.
     """
     t, g, chi = link.span_T, link.gain, link.span_chi
     pia = link.kind == "pia"
+    powers = pointwise(lambda x: (x**n, _geom_factor(x, n)))
     out = []
     for x in (g * t, g * t if pia else t / g):
         chi_x = chi + (g - 1.0) / x if pia else chi
-        out.append((x**n, _geom_factor(x, n) * chi_x))
+        tau, geom = powers(x)
+        out.append((tau, geom * chi_x))
     return out
 
 
@@ -117,12 +124,15 @@ def _amplifier(link: SpanLink):
 
 
 def _map_mode(cm, mode, quads):
-    """sigma -> tau (sigma + chi) on each quadrature of ``mode``, in place."""
+    """sigma -> tau (sigma + chi) on each quadrature of ``mode``, in place.
+
+    ``cm`` may be a stack (..., 2n, 2n) with tau and chi of its leading shape.
+    """
     for i, (tau, chi) in zip((2 * mode, 2 * mode + 1), quads):
-        s = math.sqrt(tau)
-        cm[i, :] *= s
-        cm[:, i] *= s
-        cm[i, i] += tau * chi
+        s = np.sqrt(tau)[..., None]
+        cm[..., i, :] *= s
+        cm[..., :, i] *= s
+        cm[..., i, i] += tau * chi
 
 
 def span_link_cm(link: SpanLink, v):
@@ -131,15 +141,16 @@ def span_link_cm(link: SpanLink, v):
     Each quadrature of Bob's mode sees its own transmissivity and
     input-referred noise from :func:`_span_chain`: (G T)^M on both for a
     PIA link, (G T)^M on q and (T/G)^M on p for a PSA link.
-    Reproducible by explicit M-fold channel composition.
+    Reproducible by explicit M-fold channel composition.  An array ``v``
+    or link gain gives a stack (..., 4, 4).
     """
-    if v <= 1.0:
+    if (np.asarray(v) <= 1.0).any():
         raise ValueError("modulation variance must exceed 1")
     (tq, cq), (tp, cp) = _span_chain(link, link.m_spans)
-    z = math.sqrt(v * v - 1.0)
-    zq = math.sqrt(tq) * z
-    zp = math.sqrt(tp) * z
-    return np.array(
+    z = np.sqrt(v * v - 1.0)
+    zq = np.sqrt(tq) * z
+    zp = np.sqrt(tp) * z
+    return matrix_stack(
         [
             [v, 0.0, zq, 0.0],
             [0.0, v, 0.0, -zp],
@@ -196,29 +207,33 @@ def _optimize_v_gain(parts, link, beta, v, gain):
     search over the modulation.  That search's +-0.35 log-V bracket can
     carry it past V - 1 = 150, where the 2-D search stops, so the G = 1
     fallback may compare an out-of-box point against an in-box optimum.
+    ``parts`` broadcasts over arrays of V and G, so that each seeding
+    grid is one call.
     """
+    exp = pointwise(math.exp)
+
     def admissible_gain(vv, frac):
-        return 1.0 + (max(gain_cap(link, vv), 1.0) - 1.0) * frac
+        return 1.0 + (np.maximum(gain_cap(link, vv), 1.0) - 1.0) * frac
 
     def neg_k(vv, gg):
         i_ab, chi_be = parts(vv, gg)
         return -(beta * i_ab - chi_be)
+
+    def neg_k_box(x):
+        vv = 1.0 + exp(x[..., 0])
+        return neg_k(vv, admissible_gain(vv, x[..., 1]))
 
     v_box = (math.log(0.02), math.log(150.0))
     if v is not None and gain is not None:
         return v, gain
     if gain is not None:
         grid = np.linspace(*v_box, 41)
-        u0 = grid[np.argmin([neg_k(1.0 + math.exp(u), gain) for u in grid])]
+        u0 = grid[np.argmin(neg_k(1.0 + exp(grid), gain))]
         u_opt, _ = golden_min(
             lambda u: neg_k(1.0 + math.exp(u), gain), u0 - 0.35, u0 + 0.35, tol=1e-7
         )
         return 1.0 + math.exp(u_opt), gain
-    x, f2 = minimize_bounded(
-        lambda x: neg_k(1.0 + math.exp(x[0]), admissible_gain(1.0 + math.exp(x[0]), x[1])),
-        [v_box, (0.0, 1.0)],
-        15, 1e-7, 1e-12,
-    )
+    x, f2 = minimize_bounded(neg_k_box, [v_box, (0.0, 1.0)], 15, 1e-7, 1e-12)
     v = 1.0 + math.exp(x[0])
     gain = admissible_gain(v, float(x[1]))
     # the unamplified line G = 1 is always feasible; never fall below it
@@ -233,13 +248,13 @@ def _conditional_cms(link: SpanLink, v, k_span):
 
     The k - 1 trusted spans before the tap and the M - k after it act on
     B as one per-quadrature map each; Eve's entangling cloner is a beam
-    splitter between B and her TMSV half E1.
+    splitter between B and her TMSV half E1.  An array ``v`` or link
+    gain gives a stack (..., 8, 8).
     """
     v_eps = 1.0 + 2.0 * link.nbar_T
-    cm = linalg.block_diag(
-        _two_mode_cm(v, 1.0, 0.0, math.sqrt(v * v - 1.0)),
-        _two_mode_cm(v_eps, 1.0, 0.0, math.sqrt(v_eps * v_eps - 1.0)),
-    )
+    cm = np.zeros(np.broadcast_shapes(np.shape(v), np.shape(link.gain)) + (8, 8))
+    cm[..., :4, :4] = _two_mode_cm(v, 1.0, 0.0, np.sqrt(v * v - 1.0))
+    cm[..., 4:, 4:] = _two_mode_cm(v_eps, 1.0, 0.0, math.sqrt(v_eps * v_eps - 1.0))
     _map_mode(cm, 1, _span_chain(link, k_span - 1))
     x = gs.beam_splitter_matrix(link.span_T, [1, 2], 4)
     cm = x @ cm @ x.T
@@ -270,9 +285,10 @@ def multispan_kgr_conditional(link: SpanLink, beta, k_span, case=None,
     def parts(vv, gg):
         lk = SpanLink(link.m_spans, link.d_km, link.eps, gg, link.kind, link.kappa)
         joint = _conditional_cms(lk, vv, k_span)
-        i_ab = gs.gaussian_mutual_information(joint[:4, :4], quad)
-        cm_e_cond = gs.condition_on_measurement(joint, 1, quad)[2:, 2:]  # (A, E1, E2) -> E
-        chi_be = gs.entropy_cm(joint[4:, 4:]) - gs.entropy_cm(cm_e_cond)
+        i_ab = gs.gaussian_mutual_information(joint[..., :4, :4], quad)
+        # (A, E1, E2) given Bob's homodyne -> E
+        cm_e_cond = gs.condition_on_measurement(joint, 1, quad)[..., 2:, 2:]
+        chi_be = gs.entropy_cm(joint[..., 4:, 4:]) - gs.entropy_cm(cm_e_cond)
         return i_ab, chi_be
 
     v, gain = _optimize_v_gain(parts, link, beta, v, gain)
@@ -554,13 +570,14 @@ def nla_kgr(kind, channel: ChannelParams, beta, gain=None, eta=1.0,
     if gain is None and v is None:
         box = [(math.log(0.02), math.log(40.0)), (0.0, math.log(g_hi))]
         x, _ = minimize_bounded(
-            lambda u: -key_rate(1.0 + math.exp(u[0]), math.exp(u[1])), box, 17, 1e-6, 1e-12
+            pointwise(lambda u: -key_rate(1.0 + math.exp(u[0]), math.exp(u[1])), 1),
+            box, 17, 1e-6, 1e-12,
         )
         v = 1.0 + math.exp(x[0])
         gain = math.exp(x[1])
     elif v is None:
         w_opt, _ = maximize_scalar(
-            lambda w: key_rate(1.0 + w, gain), (0.02, 40.0), 41, 1e-7
+            pointwise(lambda w: key_rate(1.0 + w, gain)), (0.02, 40.0), 41, 1e-7
         )
         v = 1.0 + w_opt
     res = parts(v, gain)

@@ -23,6 +23,7 @@ from .numerics import (
     bisect_root,
     golden_min,
     minimize_bounded,
+    pointwise,
 )
 
 __all__ = [
@@ -379,7 +380,7 @@ def hynore(scenario: BpskScenario, detection="hl", z=None,
 
     z_max = math.sqrt(spec.resolution + 3.0)
     x, p = minimize_bounded(
-        lambda v: _hynore_perr(scenario, _tau_warp(v[0]), v[1]),
+        pointwise(lambda v: _hynore_perr(scenario, _tau_warp(v[0]), v[1]), 1),
         [(0.0, 1.0), (0.0, z_max)],
         grid, 1e-7, 1e-14,
     )
@@ -430,7 +431,8 @@ def hffre(scenario: BpskScenario, n_copies: int, grid=21) -> ReceiverResult:
 
     for n_th in ths:
         x, p = minimize_bounded(
-            lambda v: objective(v, n_th), [(0.0, 1.0), (0.0, z_max)], grid, 1e-7, 1e-14
+            pointwise(lambda v: objective(v, n_th), 1),
+            [(0.0, 1.0), (0.0, z_max)], grid, 1e-7, 1e-14,
         )
         if best["p"] is None or p < best["p"]:
             tau = _tau_warp(float(x[0]))

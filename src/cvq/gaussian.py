@@ -17,6 +17,7 @@ capacities of the thermal-loss channel.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ __all__ = [
     "phase_shift",
     "apply_channel",
     "symplectic_eigenvalues",
-    "symplectic_eigenvalues_closed2",
     "h_entropy",
     "entropy_cm",
     "condition_on_measurement",
@@ -60,10 +60,30 @@ FOCK_CAP = 200  # hard cap of the per-mode Fock cutoff
 FOCK_TAIL_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=None)
 def omega(n):
-    """Symplectic form of ``n`` modes in (q1,p1,...) ordering."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return linalg.block_diag(*([j] * n))
+    """Symplectic form of ``n`` modes in (q1,p1,...) ordering.
+
+    Built once per ``n`` on first use and returned read-only.
+    """
+    out = np.zeros((2 * n, 2 * n))
+    q = np.arange(0, 2 * n, 2)
+    out[q, q + 1] = 1.0
+    out[q + 1, q] = -1.0
+    out.flags.writeable = False
+    return out
+
+
+def _first_bad(bad):
+    """Message suffix naming the first flagged slice of a stacked check.
+
+    ``bad`` holds one flag per matrix; a single matrix (0-d flag) needs
+    no index and gets an empty suffix.
+    """
+    if bad.ndim == 0:
+        return ""
+    idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    return f" (stack index {idx[0] if len(idx) == 1 else idx})"
 
 
 def is_physical(cm, tol=PHYS_TOL):
@@ -283,54 +303,44 @@ def apply_channel(state, channel, modes):
 # ----------------------------------------------------------------------
 
 def symplectic_eigenvalues(cm):
-    """Symplectic spectrum of an even-dimensional symmetric matrix.
+    """Symplectic spectrum of even-dimensional symmetric matrices.
 
-    Returns the n positive eigenvalues of i*Omega*sigma sorted in
-    descending order.  n = 1 uses sqrt(det sigma); larger systems go
-    through the Hermitian similarity i sigma^(1/2) Omega sigma^(1/2),
-    whose +/- paired spectrum is accurate to machine precision even for
-    (near-)pure states, and are deduplicated by sorting and pairing.
-    The two-mode Delta/I4 closed form is kept in
-    :func:`symplectic_eigenvalues_closed2` as an independent
-    cross-check; near degenerate spectra it loses half the working
-    precision to cancellation, which is why it is not the primary path.
+    ``cm`` is one 2n x 2n matrix or a stack (..., 2n, 2n); returns the
+    n positive eigenvalues of i*Omega*sigma of each matrix, sorted in
+    descending order, with shape (..., n).  n = 1 uses sqrt(det sigma);
+    larger systems go through the Hermitian similarity
+    i sigma^(1/2) Omega sigma^(1/2), whose +/- paired spectrum is
+    accurate to machine precision even for (near-)pure states, and are
+    deduplicated by sorting and pairing.  A stack is one batched LAPACK
+    call per step, bitwise equal to a loop over its matrices; a matrix
+    that fails the symmetry, PSD or pairing check raises with its stack
+    index.  The two-mode Delta/I4 closed form is not used: near
+    degenerate spectra it loses half the working precision to
+    cancellation.
     """
     cm = np.asarray(cm, dtype=float)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
+    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or cm.shape[-1] % 2:
         raise ValueError("cm must be 2n x 2n")
-    scale = max(1.0, np.max(np.abs(cm)))
-    if np.max(np.abs(cm - cm.T)) > SYM_TOL * scale:
-        raise ValueError("cm must be symmetric")
-    n = cm.shape[0] // 2
+    scale = np.maximum(1.0, np.abs(cm).max(axis=(-2, -1)))
+    bad = np.abs(cm - np.swapaxes(cm, -1, -2)).max(axis=(-2, -1)) > SYM_TOL * scale
+    if bad.any():
+        raise ValueError("cm must be symmetric" + _first_bad(bad))
+    n = cm.shape[-1] // 2
     if n == 1:
-        return np.array([np.sqrt(max(np.linalg.det(cm), 0.0))])
+        return np.sqrt(np.maximum(np.linalg.det(cm), 0.0))[..., None]
     w, q = np.linalg.eigh(cm)
-    if np.min(w) < -1e-12 * scale:
-        raise ValueError("covariance matrix is not positive semidefinite")
-    sq = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+    bad = w.min(axis=-1) < -1e-12 * scale
+    if bad.any():
+        raise ValueError("covariance matrix is not positive semidefinite" + _first_bad(bad))
+    sq = (q * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(q, -1, -2)
     herm = 1j * sq @ omega(n) @ sq
-    nus = np.sort(np.abs(np.linalg.eigvalsh((herm + herm.conj().T) / 2.0)))
-    pairs = nus.reshape(n, 2)
-    if np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > 1e-8 * scale:
-        raise ValueError("could not pair symplectic eigenvalues")
-    return np.sort(pairs.mean(axis=1))[::-1]
-
-
-def symplectic_eigenvalues_closed2(cm):
-    """Two-mode closed form: d = sqrt((Delta +/- sqrt(Delta^2 - 4 I4))/2)."""
-    cm = np.asarray(cm, dtype=float)
-    if cm.shape != (4, 4):
-        raise ValueError("closed form is for two modes")
-    a = cm[:2, :2]
-    b = cm[2:, 2:]
-    c = cm[:2, 2:]
-    delta = np.linalg.det(a) + np.linalg.det(b) + 2.0 * np.linalg.det(c)
-    i4 = np.linalg.det(cm)
-    disc = max(delta * delta - 4.0 * i4, 0.0)
-    big = max((delta + np.sqrt(disc)) / 2.0, 0.0)
-    d1 = np.sqrt(big)
-    d2 = np.sqrt(max(i4, 0.0) / big) if big > 0.0 else 0.0
-    return np.array(sorted([d1, d2], reverse=True))
+    herm = (herm + np.swapaxes(herm, -1, -2).conj()) / 2.0
+    nus = np.sort(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+    pairs = nus.reshape(nus.shape[:-1] + (n, 2))
+    bad = np.abs(pairs[..., 0] - pairs[..., 1]).max(axis=-1) > 1e-8 * scale
+    if bad.any():
+        raise ValueError("could not pair symplectic eigenvalues" + _first_bad(bad))
+    return np.sort(pairs.mean(axis=-1), axis=-1)[..., ::-1]
 
 
 def h_entropy(x):
@@ -353,12 +363,20 @@ def h_entropy(x):
 
 
 def entropy_cm(cm):
-    """von Neumann entropy (bits) of a Gaussian state from its CM."""
+    """von Neumann entropy (bits) of a Gaussian state from its CM.
+
+    A stack of CMs (..., 2n, 2n) gives an array of entropies (...); one
+    CM gives a float.
+    """
     nus = symplectic_eigenvalues(cm)
-    if np.min(nus) < 1.0 - 1e-6:
-        raise UnphysicalStateError(f"symplectic eigenvalue {np.min(nus)} < 1")
-    nus = np.clip(nus, 1.0, None)
-    return float(np.sum(h_entropy((nus - 1.0) / 2.0)))
+    low = nus.min(axis=-1)
+    bad = low < 1.0 - 1e-6
+    if bad.any():
+        raise UnphysicalStateError(
+            f"symplectic eigenvalue {low.min()} < 1" + _first_bad(bad)
+        )
+    s = h_entropy((np.clip(nus, 1.0, None) - 1.0) / 2.0).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def mean_photons(state):
@@ -371,29 +389,37 @@ def mean_photons(state):
 # conditioning and mutual information
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _conditioning_indices(n, measured_mode, quad):
+    """(rows kept as a column, rows kept, measured row) of a homodyne."""
+    keep = _quad_indices([m for m in range(n) if m != measured_mode])
+    keep.flags.writeable = False
+    return keep[:, None], keep, 2 * measured_mode + quad
+
+
 def condition_on_measurement(cm, measured_mode, quad=0):
     """CM of the other modes given a homodyne of ``quad`` on ``measured_mode``.
 
     ``quad`` is 0 for q and 1 for p.  The exact rank-degenerate limit is
     used: only the measured quadrature's entry of (sigma_B)^-1 survives,
     sigma_A|B = sigma_A - C (Pi sigma_B Pi)^MP C^T, so no finite-z
-    approximation ever enters.
+    approximation ever enters.  ``cm`` may be a stack (..., 2n, 2n).
     """
     cm = np.asarray(cm, dtype=float)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
+    if cm.ndim < 2 or cm.shape[-1] != cm.shape[-2] or cm.shape[-1] % 2:
         raise ValueError("cm must be a 2n x 2n matrix")
-    n = cm.shape[0] // 2
+    n = cm.shape[-1] // 2
     if n < 2:
         raise ValueError("need at least two modes to condition")
     if measured_mode not in range(n):
         raise ValueError(f"measured_mode must lie in 0..{n - 1}, got {measured_mode!r}")
     if quad not in (0, 1):
         raise ValueError(f"quad must be 0 (q) or 1 (p), got {quad!r}")
-    ia = _quad_indices([m for m in range(n) if m != measured_mode])
-    ib = 2 * measured_mode + quad
-    sz = cm[ia, ib]
-    out = cm[np.ix_(ia, ia)] - np.outer(sz * (1.0 / cm[ib, ib]), sz)
-    return (out + out.T) / 2.0
+    rows, cols, ib = _conditioning_indices(n, measured_mode, quad)
+    sz = cm[..., cols, ib]
+    gain = sz * (1.0 / cm[..., ib, ib])[..., None]
+    out = cm[..., rows, cols] - gain[..., :, None] * sz[..., None, :]
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def gaussian_mutual_information(cm, quad=0):
@@ -401,15 +427,17 @@ def gaussian_mutual_information(cm, quad=0):
 
     Equals (1/2) log2 { det[sigma_A + 1] / det[sigma_A|B + 1] } with
     sigma_A|B Alice's CM conditioned on Bob's homodyne of ``quad``, the
-    exact Schur-complement form of the determinant ratio.
+    exact Schur-complement form of the determinant ratio.  ``cm`` may be
+    a stack (..., 4, 4).
     """
     cm = np.asarray(cm, dtype=float)
-    if cm.shape != (4, 4):
+    if cm.shape[-2:] != (4, 4):
         raise ValueError("mutual information requires a 2-mode CM")
-    num = np.linalg.det(cm[:2, :2] + np.eye(2))
+    num = np.linalg.det(cm[..., :2, :2] + np.eye(2))
     den = np.linalg.det(condition_on_measurement(cm, 1, quad) + np.eye(2))
-    if num <= 0 or den <= 0:
-        raise ValueError("non-positive determinant argument")
+    bad = (num <= 0) | (den <= 0)
+    if bad.any():
+        raise ValueError("non-positive determinant argument" + _first_bad(bad))
     return 0.5 * np.log2(num / den)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import gaussian as gs
 from . import mary
+from .numerics import pointwise
 from .qkd import (
     KgrResult,
     _entropy_rows,
@@ -115,7 +116,8 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
 
     if mode not in ("KOR", "PGM"):
         raise ValueError("mode must be 'KOR' or 'PGM'")
-    pgm = _rate_result(pgm_parts, beta, None, alpha2_box, 31, 1e-7, phases=np.zeros(4))
+    pgm = _rate_result(pointwise(pgm_parts), beta, None, alpha2_box, 31, 1e-7,
+                       phases=np.zeros(4))
     if mode == "PGM":
         return pgm
     a_pgm, k_pgm_opt = pgm.params["alpha2"], pgm.K
@@ -171,7 +173,7 @@ def dh_rate(t, beta, alpha2=None, n_nodes=101, alpha2_box=(1e-2, 4.0)) -> KgrRes
         i_ab = h_b - math.log2(2.0 * math.pi * math.e * var)
         return i_ab, max(_outcome_chi(gram, s_e, means, var, n_nodes), 0.0)
 
-    return _rate_result(parts, beta, alpha2, alpha2_box, 17, 2e-5)
+    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 17, 2e-5)
 
 
 def qdffre_rate(t, beta, n_copies, alpha2=None, alpha2_box=(1e-2, 4.0)) -> KgrResult:
@@ -182,7 +184,7 @@ def qdffre_rate(t, beta, n_copies, alpha2=None, alpha2_box=(1e-2, 4.0)) -> KgrRe
         _, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
         return float(i_ab), float(chi)
 
-    return _rate_result(parts, beta, alpha2, alpha2_box, 17, 2e-5, N=n_copies)
+    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 17, 2e-5, N=n_copies)
 
 
 def phase_orbit(phases):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binary import ReceiverResult
-from .numerics import minimize_bounded
+from .numerics import minimize_bounded, pointwise
 
 __all__ = [
     "GusReceiver",
@@ -192,7 +192,7 @@ def qdre(energy, mode="equal") -> ReceiverResult:
         # deterministic tiny tilt breaks flat ties toward smaller t1
         return 1.0 - 0.25 * sum(_qdre_cond_diag(energy, t1, t2)) + 1e-15 * t1
 
-    x, p = minimize_bounded(perr, [(0.0, 1.0), (0.0, 1.0)], 101, 1e-10, 1e-14)
+    x, p = minimize_bounded(pointwise(perr, 1), [(0.0, 1.0), (0.0, 1.0)], 101, 1e-10, 1e-14)
     return ReceiverResult(float(p), {"t1": float(x[0]), "t2": float(x[1])})
 
 

@@ -5,6 +5,12 @@ restarts), grid-bracketed golden-section maximization in one positive
 variable, bracketed root finding, composite Simpson quadrature and
 weights, and Hermitian matrix square roots.  Everything here is pure
 and reproducible: no random number generator is ever consulted.
+
+The two grid-seeded optimizers evaluate their whole seeding grid with
+one call, ``f(points)``, and polish with one call per point; an
+objective maps a stack of points (leading axes) to a stack of values.
+Objectives that are pointwise by nature are lifted to that contract by
+:func:`pointwise`, which calls them point by point in grid order.
 """
 
 from __future__ import annotations
@@ -21,6 +27,47 @@ class PrecisionWarning(UserWarning):
 
 NM_MAX_ITER = 2000  # Nelder-Mead iteration cap of minimize_bounded
 NM_RESTARTS = 2  # extra polish runs from deterministically perturbed starts
+
+
+def pointwise(f, ndim=0):
+    """Lift ``f`` of one point to stacks of points, point by point.
+
+    A point is an array of ``ndim`` axes (0: a scalar), a stack an
+    ndarray with more.  The lifted function calls ``f(x)`` unchanged on
+    one point; on a stack it calls ``f`` on each point in C order and
+    stacks the results along the leading axes, and a tuple result
+    becomes a tuple of stacked arrays.  Elementary functions lifted this
+    way keep their scalar rounding: ``math.exp`` and NumPy's array
+    ``exp`` differ in the last bit on a few percent of inputs.
+    """
+    def lifted(x):
+        if getattr(x, "ndim", 0) == ndim:
+            return f(x)
+        x = np.asarray(x)
+        lead = x.shape[:x.ndim - ndim]
+        vals = [f(p) for p in x.reshape((-1,) + x.shape[x.ndim - ndim:])]
+        if isinstance(vals[0], tuple):
+            return tuple(np.array(v).reshape(lead) for v in zip(*vals))
+        vals = np.array(vals)
+        return vals.reshape(lead + vals.shape[1:])
+
+    return lifted
+
+
+def matrix_stack(rows):
+    """Matrix of nested ``rows`` whose entries are scalars or arrays.
+
+    Array entries broadcast together and lead: the result has shape
+    (..., r, c), or (r, c) when no entry is an array with axes.
+    """
+    shapes = [e.shape for row in rows for e in row if isinstance(e, np.ndarray) and e.ndim]
+    if not shapes:
+        return np.array(rows, dtype=float)
+    out = np.empty(np.broadcast_shapes(*shapes) + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def _nm_polish(f, x0, lo, hi, xtol, ftol):
@@ -51,7 +98,9 @@ def minimize_bounded(f, box, n_grid, xtol, ftol):
 
     Parameters
     ----------
-    f : callable accepting a 1-D array of length ``len(box)``
+    f : callable mapping points of shape (..., len(box)) to values of
+        shape (...); the grid is one call on all ``n_grid**len(box)``
+        points, the polish one call per point
     box : sequence of (lo, hi) pairs, all finite
 
     Returns
@@ -76,7 +125,13 @@ def minimize_bounded(f, box, n_grid, xtol, ftol):
     axes = [np.linspace(a, b, n_grid) for a, b in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.array([fc(p) for p in pts])
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise ValueError(f"objective mapped {pts.shape} grid points to shape {vals.shape}")
+    if np.any(np.isnan(vals)):
+        raise FloatingPointError(
+            f"objective returned NaN at x={pts[np.argmax(np.isnan(vals))]}"
+        )
     order = np.argsort(vals, kind="stable")
     best_x, best_f = pts[order[0]].copy(), vals[order[0]]
     if np.ptp(vals) == 0.0:
@@ -122,13 +177,14 @@ def maximize_scalar(f, box, n_grid, tol):
     """Maximize ``f`` over a positive interval ``box = (lo, hi)``.
 
     ``f`` is evaluated on a geometric grid of ``n_grid`` points spanning
-    the box.  For a unimodal ``f`` the maximizer lies between the two
-    grid neighbours of the best grid point (Kiefer, Proc. AMS 4, 502
-    (1953)); clamped at the grid ends, they bracket one golden-section
-    search in log x that stops at relative width ``tol``.  The call
-    spends ``n_grid`` evaluations plus those of that search.  When the
-    search ends below the best grid value, as it does for a maximum at
-    a box end, that grid point is returned instead.
+    the box, in one call ``f(grid)`` returning ``n_grid`` values.  For a
+    unimodal ``f`` the maximizer lies between the two grid neighbours of
+    the best grid point (Kiefer, Proc. AMS 4, 502 (1953)); clamped at
+    the grid ends, they bracket one golden-section search in log x that
+    stops at relative width ``tol`` and calls ``f`` on one scalar at a
+    time.  The call evaluates ``n_grid`` points plus those of that
+    search.  When the search ends below the best grid value, as it does
+    for a maximum at a box end, that grid point is returned instead.
 
     Returns
     -------
@@ -139,13 +195,15 @@ def maximize_scalar(f, box, n_grid, tol):
         raise ValueError(f"box must satisfy 0 < lo < hi < inf, got {box}")
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), n_grid))
     grid[0], grid[-1] = lo, hi
-    values = [f(x) for x in grid]
+    values = np.asarray(f(grid), dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError(f"objective mapped {n_grid} grid points to shape {values.shape}")
     best = int(np.argmax(values))
     a = math.log(grid[max(best - 1, 0)])
     b = math.log(grid[min(best + 1, n_grid - 1)])
     u, neg_f = golden_min(lambda u: -f(math.exp(u)), a, b, tol=tol)
     if -neg_f < values[best]:
-        return float(grid[best]), values[best]
+        return float(grid[best]), float(values[best])
     return math.exp(u), -neg_f
 
 

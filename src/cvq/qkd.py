@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from . import gaussian as gs
 from .numerics import (
     PrecisionWarning,
     bisect_root,
+    matrix_stack,
     maximize_scalar,
     minimize_bounded,
+    pointwise,
     simpson_integral,
     simpson_weights,
 )
@@ -126,17 +128,21 @@ class TrustScenario:
 # ----------------------------------------------------------------------
 
 def _two_mode_cm(v, t, chi, z):
-    sz = np.diag([1.0, -1.0])
-    return np.block(
-        [
-            [v * np.eye(2), math.sqrt(t) * z * sz],
-            [math.sqrt(t) * z * sz, t * (v + chi) * np.eye(2)],
-        ]
-    )
+    """CM [[V 1, sqrt(T) Z sz], [sqrt(T) Z sz, T (V + chi) 1]], sz = diag(1, -1).
+
+    Array arguments broadcast to a stack (..., 4, 4).
+    """
+    c = np.sqrt(t) * z
+    b = t * (v + chi)
+    return matrix_stack([[v, 0.0, c, 0.0], [0.0, v, 0.0, -c],
+                         [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
 
 
 def holevo_from_cm(cm, measured_mode=1, quad=0):
-    """chi(B;E) = S(full) - S(rest | homodyne of ``quad``) for a purifiable CM."""
+    """chi(B;E) = S(full) - S(rest | homodyne of ``quad``) for a purifiable CM.
+
+    A stack of CMs (..., 2n, 2n) gives an array of chi values.
+    """
     s_all = gs.entropy_cm(cm)
     return s_all - gs.entropy_cm(gs.condition_on_measurement(cm, measured_mode, quad))
 
@@ -144,9 +150,11 @@ def holevo_from_cm(cm, measured_mode=1, quad=0):
 def _rate_result(parts, beta, x, box, n_grid, tol, name="alpha2", **params):
     """Devetak-Winter rate K = beta I_AB - chi_BE at one modulation knob.
 
-    ``parts(x)`` returns (I_AB, chi_BE).  An ``x`` of None is chosen by
-    one ``maximize_scalar`` search of K on ``box``; ``parts`` is then
-    evaluated once at ``x``, so a pinned knob reproduces the searched K.
+    ``parts(x)`` returns (I_AB, chi_BE), and two arrays for an array of
+    knob values.  An ``x`` of None is chosen by one ``maximize_scalar``
+    search of K on ``box``, whose grid is one call of ``parts``; ``parts``
+    is then evaluated once at ``x``, so a pinned knob reproduces the
+    searched K.
     ``params`` joins ``{name: x}`` in the result.
     """
     def key_rate(y):
@@ -171,13 +179,12 @@ def gg02_kgr(channel: ChannelParams, beta, v=None) -> KgrResult:
     if not 0.0 < beta <= 1.0:
         raise ValueError("reconciliation efficiency must lie in (0, 1]")
     t, eps, chi = channel.T, channel.eps, channel.chi
+    log2 = pointwise(math.log2)
 
     def parts(vv):
-        i_ab = 0.5 * math.log2(1.0 + t * (vv - 1.0) / (1.0 + t * eps))
-        z = math.sqrt(vv * vv - 1.0)
-        cm = _two_mode_cm(vv, t, chi, z)
-        chi_be = holevo_from_cm(cm)
-        return i_ab, chi_be
+        i_ab = 0.5 * log2(1.0 + t * (vv - 1.0) / (1.0 + t * eps))
+        cm = _two_mode_cm(vv, t, chi, np.sqrt(vv * vv - 1.0))
+        return i_ab, holevo_from_cm(cm)
 
     return _rate_result(parts, beta, v, (1.01, 250.0), 41, 1e-7, name="V")
 
@@ -314,7 +321,7 @@ def psk_kgr(m, channel: ChannelParams, beta, alpha2=None,
         chi_be = holevo_from_cm(cm)
         return i_ab, chi_be
 
-    return _rate_result(parts, beta, alpha2, alpha2_box, 25, 3e-6)
+    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 25, 3e-6)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +435,7 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
             i_ab, chi_be = parts(_qam_delta(m_side, nb, 0.0), 0.0, nb)
             return beta * i_ab - chi_be
 
-        nb, _ = maximize_scalar(key_rate, (0.05, 20.0), 21, 1e-4)
+        nb, _ = maximize_scalar(pointwise(key_rate), (0.05, 20.0), 21, 1e-4)
         return result(_qam_delta(m_side, nb, 0.0), 0.0, nb)
 
     def neg_k2(v):
@@ -439,7 +446,7 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
     # delta_lo: the uniform grid's spacing at nbar = 0.05
     delta_lo = math.sqrt(0.3 / (m_side**2 - 1.0))
     box = [(math.log(delta_lo), math.log(_qam_delta_max(m_side))), (0.0, 3.0)]
-    v_opt, _ = minimize_bounded(neg_k2, box, 21, 1e-5, 1e-10)
+    v_opt, _ = minimize_bounded(pointwise(neg_k2, 1), box, 21, 1e-5, 1e-10)
     dl, x = math.exp(v_opt[0]), float(v_opt[1])
     return result(dl, x, _qam_energy(m_side, dl, x))
 
@@ -449,11 +456,14 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
 # ----------------------------------------------------------------------
 
 def _trusted_cm(alpha2, channel, scenario):
-    """8x8 CM of modes (A, B, C1, C2) with the detection dilation."""
+    """8x8 CM of modes (A, B, C1, C2) with the detection dilation.
+
+    An array ``alpha2`` gives a stack (..., 8, 8).
+    """
     t_ch, eps_ch = channel.T, channel.eps
     chi_ch = (1.0 - t_ch) / t_ch + eps_ch
     v = 1.0 + 2.0 * alpha2
-    z = psk_correlation(4, alpha2)
+    z = pointwise(lambda a2: psk_correlation(4, a2))(alpha2)
     sigma_ab = _two_mode_cm(v, t_ch, chi_ch, z)
     eta, eps_d = scenario.eta, scenario.eps_d
     if eta < 1.0:
@@ -461,8 +471,9 @@ def _trusted_cm(alpha2, channel, scenario):
     else:
         nbar_d = 0.0
     v_d = 1.0 + 2.0 * nbar_d
-    sigma_c = _two_mode_cm(v_d, 1.0, 0.0, math.sqrt(v_d * v_d - 1.0))
-    full = linalg.block_diag(sigma_ab, sigma_c)
+    full = np.zeros(sigma_ab.shape[:-2] + (8, 8))
+    full[..., :4, :4] = sigma_ab
+    full[..., 4:, 4:] = _two_mode_cm(v_d, 1.0, 0.0, math.sqrt(v_d * v_d - 1.0))
     x = gs.beam_splitter_matrix(eta, [1, 2], 4)
     return x @ full @ x.T
 
@@ -478,14 +489,13 @@ def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
     t_tot = scenario.eta * channel.T
     eps_tot = channel.eps + scenario.eps_d
     total = ChannelParams(t_tot, eps_tot, channel.kappa)
+    mutual_info = pointwise(lambda a2: psk_mutual_information(4, a2, total))
+    # Eve's bound keeps the trusted leading modes of (A, B, C1, C2)
+    n_keep = {"tL;tN": 4, "tL;uN": 3, "uL;uN": 2}[scenario.tag]
 
     def parts(a2):
-        i_ab = psk_mutual_information(4, a2, total)
         cm = _trusted_cm(a2, channel, scenario)
-        # Eve's bound keeps the trusted leading modes of (A, B, C1, C2)
-        n_keep = {"tL;tN": 4, "tL;uN": 3, "uL;uN": 2}[scenario.tag]
-        chi_be = holevo_from_cm(cm[:2 * n_keep, :2 * n_keep])
-        return i_ab, chi_be
+        return mutual_info(a2), holevo_from_cm(cm[..., :2 * n_keep, :2 * n_keep])
 
     return _rate_result(parts, beta, alpha2, alpha2_box, 25, 3e-6)
 
@@ -648,7 +658,8 @@ def _eve_dilation(alpha2, channel):
     t, eps = channel.T, channel.eps
     v_eps = 1.0 + t * eps / (1.0 - t) if t < 1.0 else 1.0
     z_eps = math.sqrt(v_eps * v_eps - 1.0)
-    cm0 = linalg.block_diag(np.eye(2), _two_mode_cm(v_eps, 1.0, 0.0, z_eps))
+    cm0 = np.eye(6)
+    cm0[2:, 2:] = _two_mode_cm(v_eps, 1.0, 0.0, z_eps)
     s_full = gs.beam_splitter_matrix(t, [0, 1], 3)
     cm = s_full @ cm0 @ s_full.T
     fms = np.array([s_full @ np.array([2 * a.real, 2 * a.imag, 0, 0, 0, 0])
@@ -733,7 +744,7 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
         i_ab = psk_mutual_information(4, a2, channel)
         return i_ab, max(_wiretap_chi(a2, channel, n_nodes), 0.0)
 
-    return _rate_result(parts, beta, alpha2, alpha2_box, 9, 4e-3)
+    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 9, 4e-3)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ construction that shares no code with ``cvq.qkd``:
 * I_AB of double-homodyne QPSK from a full-plane 2-D Simpson rule on
   the four-component outcome density, with no factorization assumed;
 * the closed-form spectrum of the balanced QPSK coherent mixture;
+* the two-mode symplectic spectrum from the Delta/I4 invariants;
 * homodyne conditioning as the z -> 0 limit of a finite-variance
   Gaussian measurement, sigma_A - C (sigma_B + diag(z, 1/z))^-1 C^T;
 * Eve's conditional entropies in the thermal wiretap model from two-mode
@@ -111,6 +112,28 @@ def qpsk_mixture_eigenvalues(energy):
             0.5 * e * (math.sinh(energy) - abs(math.sin(energy))),
         ]
     )
+
+
+def symplectic_eigenvalues_closed2(cm):
+    """Two-mode closed form: d = sqrt((Delta +/- sqrt(Delta^2 - 4 I4))/2).
+
+    Serafini, Illuminati and De Siena, J. Phys. B 37, L21 (2004).  Near
+    degenerate spectra it loses half the working precision to
+    cancellation, so it is an oracle only away from degeneracy.
+    """
+    cm = np.asarray(cm, dtype=float)
+    if cm.shape != (4, 4):
+        raise ValueError("closed form is for two modes")
+    a = cm[:2, :2]
+    b = cm[2:, 2:]
+    c = cm[:2, 2:]
+    delta = np.linalg.det(a) + np.linalg.det(b) + 2.0 * np.linalg.det(c)
+    i4 = np.linalg.det(cm)
+    disc = max(delta * delta - 4.0 * i4, 0.0)
+    big = max((delta + np.sqrt(disc)) / 2.0, 0.0)
+    d1 = np.sqrt(big)
+    d2 = np.sqrt(max(i4, 0.0) / big) if big > 0.0 else 0.0
+    return np.array(sorted([d1, d2], reverse=True))
 
 
 def _g(nu):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cvq
 from cvq import cli
 from cvq.experiments import list_experiments, run_experiment
 
@@ -110,3 +116,31 @@ class TestCliProcess:
         rows = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
         probs = rows[:, [i for i, n in enumerate(names) if n.startswith("P_")]]
         assert probs.size and np.all((probs >= 0.0) & (probs <= 0.5))
+
+
+class TestBlasThreads:
+    """A fast row writes the same bytes with one and with two BLAS threads.
+
+    The Gaussian rates run their seeding grids as batched LAPACK calls;
+    each experiment runs in a fresh interpreter, since BLAS reads its
+    thread count at import.
+    """
+
+    @pytest.mark.parametrize("eid", ["gg02-kgr", "trusted-qpsk", "multispan-unconditional"])
+    def test_csv_identical_for_one_and_two_threads(self, eid, tmp_path):
+        src = str(Path(cvq.__file__).resolve().parents[1])
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from cvq.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", eid, "--profile", "fast",
+                 "--key", "d_min=40", "--key", "d_max=40", "--key", "points=1",
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
