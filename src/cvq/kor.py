@@ -77,7 +77,7 @@ def _rates_from_cond(cond, alpha2, t, beta):
 def _cond_probs_batch(alpha2, t, phases):
     """p(j|k) of GUS receivers, batched over phase vectors (n, 4)."""
     phases = np.atleast_2d(phases)
-    ev = np.clip(mary.gram_eigenvalues(M_QPSK, t * alpha2), 0.0, None)
+    ev = mary.gram_eigenvalues(M_QPSK, t * alpha2)
     u = mary.dft_eigenvectors(M_QPSK)
     lam_b = np.exp(-1j * phases) * np.sqrt(ev)[None, :]
     b = np.einsum("jk,nk,lk->njl", u, lam_b, u.conj())

@@ -1,12 +1,14 @@
-"""M-ary PSK discrimination: Gram/DFT machinery and QPSK receivers.
+"""M-ary PSK discrimination: the PSK mixture spectrum and QPSK receivers.
 
 A PSK(M) constellation |alpha e^{i pi (2k+1)/M}>, k = 0..M-1, with
 uniform priors is geometrically uniform under the phase-shift operator,
 so its Gram matrix is circulant and every projective receiver on the
-span of the states is fixed by M - 1 phases.  This module builds that
-machinery (used again by the key-rate modules) and the quaternary
-receivers: double-homodyne SQL, Bondurant I/II, the quaternary
-displacement receiver and its feed-forward refinement.
+span of the states is fixed by M - 1 phases.  This module computes the
+spectrum of that Gram matrix (equivalently of the uniform mixture) once,
+from a log-space Fock series, for the receivers here and for the
+key-rate modules, and builds the quaternary receivers: double-homodyne
+SQL, Bondurant I/II, the quaternary displacement receiver and its
+feed-forward refinement.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .binary import ReceiverResult
 from .numerics import minimize_bounded, pointwise
@@ -22,6 +25,7 @@ from .numerics import minimize_bounded, pointwise
 __all__ = [
     "GusReceiver",
     "psk_gram",
+    "psk_log_eigenvalues",
     "gram_eigenvalues",
     "gus_receiver",
     "pgm_error",
@@ -33,12 +37,11 @@ __all__ = [
 
 
 def psk_gram(m, energy):
-    """Gram matrix of a PSK(M) constellation and its DFT eigenvalues.
+    """Gram matrix of a PSK(M) constellation and its circulant eigenvalues.
 
     G_lk = <alpha_l|alpha_k> = exp(-a2 (1 - cos th) + i a2 sin th) with
-    th = 2 pi (k - l)/M.  Being circulant, the eigenvalues are the DFT
-    of the first column; the DFT index order is kept (not magnitude
-    sorted) so that phase labels align across the package.
+    th = 2 pi (k - l)/M.  The eigenvalues are those of
+    :func:`gram_eigenvalues`, in DFT index order.
     """
     k = np.arange(m)
     th = 2.0 * np.pi * (k[None, :] - k[:, None]) / m
@@ -46,23 +49,40 @@ def psk_gram(m, energy):
     return g, gram_eigenvalues(m, energy)
 
 
-def gram_eigenvalues(m, energy):
-    """Circulant eigenvalues g_j of the PSK Gram matrix, DFT index order.
+def psk_log_eigenvalues(m, energy):
+    """log lambda_k, k = 0..M-1, of the uniform PSK(M) coherent mixture.
 
-    The index order pairs with the eigenvector columns of
-    :func:`dft_eigenvectors`; tiny negative round-off is clipped so
-    that, e.g., the zero-energy spectrum {M, 0, ..., 0} is exact.
+    lambda_k = e^{-E} sum_n E^{nM+k} / (nM+k)! is summed in log space
+    over an (M, n) array of Fock indices, so the tiny high-k eigenvalues
+    keep their relative accuracy at small energies.  Each row is one
+    max-shifted log-sum-exp, written as ``scipy.special.logsumexp``
+    computes it (entries equal to the row maximum are counted apart),
+    so both agree bit for bit.  Energy 0 gives lambda = (1, 0, ..., 0).
     """
-    q = np.arange(m)
-    col = np.exp(
-        -energy * (1.0 - np.cos(2.0 * np.pi * q / m))
-        - 1j * energy * np.sin(2.0 * np.pi * q / m)
-    )  # G_{q0}
-    j = np.arange(m)
-    w = np.exp(2j * np.pi * np.outer(j, q) / m)
-    ev = (w @ col).real
-    ev[np.abs(ev) < 1e-14 * np.max(np.abs(ev))] = 0.0
-    return ev
+    if energy < 0.0:
+        raise ValueError(f"energy must be >= 0, got {energy}")
+    if energy == 0.0:
+        out = np.full(m, -np.inf)
+        out[0] = 0.0
+        return out
+    n_terms = max(8, int(np.ceil((4.0 * energy + 40.0) / m)))
+    idx = np.arange(n_terms)[None, :] * m + np.arange(m)[:, None]
+    logs = idx * math.log(energy) - special.gammaln(idx + 1.0)
+    top = logs.max(axis=-1, keepdims=True)
+    at_top = logs == top
+    count = at_top.sum(axis=-1, keepdims=True, dtype=float)
+    rest = np.exp(np.where(at_top, -np.inf, logs) - top).sum(axis=-1, keepdims=True)
+    lse = np.log1p(rest / count) + np.log(count) + top
+    return -energy + lse[:, 0]
+
+
+def gram_eigenvalues(m, energy):
+    """Circulant eigenvalues in DFT index order (g_j = M lambda_j).
+
+    These are the PSK Gram matrix's eigenvalues; g_j pairs with column j
+    of :func:`dft_eigenvectors`.  Energy 0 gives {M, 0, ..., 0} exactly.
+    """
+    return m * np.exp(psk_log_eigenvalues(m, energy))
 
 
 def dft_eigenvectors(m):
@@ -121,8 +141,7 @@ def pgm_error(m, energy):
 
     Equals 1 - |sum_j sqrt(g_j)/M|^2 with the circulant eigenvalues.
     """
-    ev = np.clip(gram_eigenvalues(m, energy), 0.0, None)
-    pc = (np.sum(np.sqrt(ev)) / m) ** 2
+    pc = (np.sum(np.sqrt(gram_eigenvalues(m, energy))) / m) ** 2
     return float(1.0 - pc)
 
 

@@ -1,9 +1,9 @@
 """Deterministic numerical kernels shared by the whole package.
 
-Bounded derivative-free minimization (grid-seeded Nelder-Mead with
-restarts), grid-bracketed golden-section maximization in one positive
-variable, bracketed root finding, composite Simpson quadrature and
-weights, and Hermitian matrix square roots.  Everything here is pure
+Bounded derivative-free minimization (a seeding grid and one
+Nelder-Mead polish), grid-bracketed golden-section maximization in one
+positive variable, bracketed root finding, composite Simpson quadrature
+and weights, and Hermitian matrix square roots.  Everything here is pure
 and reproducible: no random number generator is ever consulted.
 
 The two grid-seeded optimizers evaluate their whole seeding grid with
@@ -26,7 +26,6 @@ class PrecisionWarning(UserWarning):
 
 
 NM_MAX_ITER = 2000  # Nelder-Mead iteration cap of minimize_bounded
-NM_RESTARTS = 2  # extra polish runs from deterministically perturbed starts
 
 
 def pointwise(f, ndim=0):
@@ -90,11 +89,11 @@ def _nm_polish(f, x0, lo, hi, xtol, ftol):
 def minimize_bounded(f, box, n_grid, xtol, ftol):
     """Minimize ``f`` over a finite box, deterministically.
 
-    A regular grid of ``n_grid`` points per axis seeds a Nelder-Mead
-    polish with termination tolerances ``xtol`` and ``ftol``; the polish
-    is restarted ``NM_RESTARTS`` times from deterministically perturbed
-    simplices and the best point is kept.  NaN values of ``f`` abort
-    with the offending location in the message.
+    The best point of a regular grid of ``n_grid`` points per axis
+    starts one Nelder-Mead polish with termination tolerances ``xtol``
+    and ``ftol``; the better of the polished and the grid point is
+    returned.  NaN values of ``f`` abort with the offending location in
+    the message.
 
     Parameters
     ----------
@@ -114,7 +113,6 @@ def minimize_bounded(f, box, n_grid, xtol, ftol):
     hi = np.array([b for _, b in box])
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("box must be finite")
-    ndim = len(box)
 
     def fc(x):
         v = float(f(np.asarray(x, dtype=float)))
@@ -139,16 +137,9 @@ def minimize_bounded(f, box, n_grid, xtol, ftol):
         center = (lo + hi) / 2.0
         return center, fc(center)
 
-    span = hi - lo
-    starts = [best_x]
-    # deterministic perturbations toward the interior
-    for r in range(NM_RESTARTS):
-        shift = span * (0.07 + 0.05 * r) * (-1.0) ** np.arange(ndim)
-        starts.append(np.clip(best_x + shift, lo, hi))
-    for x0 in starts:
-        x, fx = _nm_polish(fc, x0, lo, hi, xtol, ftol)
-        if fx < best_f:
-            best_x, best_f = x, fx
+    x, fx = _nm_polish(fc, best_x, lo, hi, xtol, ftol)
+    if fx < best_f:
+        return x, fx
     return best_x, best_f
 
 
@@ -231,13 +222,13 @@ def bisect_root(f, a, b, tol=1e-10, max_iter=200):
     return 0.5 * (a + b)
 
 
-def simpson_integral(f, a, b, n_points=2001, refine=True):
+def simpson_integral(f, a, b, n_points=2001):
     """Composite Simpson integral of a vectorized function on [a, b].
 
-    ``n_points`` must be odd; an even count raises ValueError.  With
-    ``refine=True`` the step is halved once and the two estimates are
-    Richardson-combined (Simpson error is O(h^4)); the refinement delta
-    is available to callers via the second return value.
+    ``n_points`` must be odd; an even count raises ValueError.  The step
+    is halved once and the two estimates are Richardson-combined
+    (Simpson error is O(h^4)); the refinement delta is the error
+    estimate.
 
     Returns
     -------
@@ -247,8 +238,6 @@ def simpson_integral(f, a, b, n_points=2001, refine=True):
     x = np.linspace(a, b, n_points)
     y = f(x)
     coarse = _simpson(y, x)
-    if not refine:
-        return coarse, np.nan
     x2 = np.linspace(a, b, 2 * n_points - 1)
     fine = _simpson(f(x2), x2)
     value = (16.0 * fine - coarse) / 15.0

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from . import gaussian as gs
+from .mary import psk_log_eigenvalues
 from .numerics import (
     PrecisionWarning,
     bisect_root,
@@ -41,7 +42,6 @@ __all__ = [
     "wiretap_qpsk_kgr",
     "max_excess_noise",
     "psk_correlation",
-    "psk_state_eigenvalues",
 ]
 
 LOG2E = 1.0 / math.log(2.0)
@@ -193,38 +193,14 @@ def gg02_kgr(channel: ChannelParams, beta, v=None) -> KgrResult:
 # PSK modulation
 # ----------------------------------------------------------------------
 
-def _psk_log_eigenvalues(m, alpha2):
-    """log lambda_k of the PSK(M) mixture via the direct Fock series.
-
-    lambda_k = e^{-a2} sum_n a2^{nM+k} / (nM+k)!, summed in log space so
-    that the tiny high-k eigenvalues stay accurate at small energies.
-    """
-    if alpha2 <= 0.0:
-        raise ValueError("positive energy required for log eigenvalues")
-    n_terms = max(8, int(np.ceil((4.0 * alpha2 + 40.0) / m)))
-    n = np.arange(n_terms)
-    out = np.empty(m)
-    for k in range(m):
-        idx = n * m + k
-        logs = idx * math.log(alpha2) - special.gammaln(idx + 1.0)
-        out[k] = -alpha2 + special.logsumexp(logs)
-    return out
-
-
-def psk_state_eigenvalues(m, alpha2):
-    """Eigenvalues lambda_k of the uniform PSK(M) coherent mixture."""
-    if alpha2 == 0.0:
-        lam = np.zeros(m)
-        lam[0] = 1.0
-        return lam
-    return np.exp(_psk_log_eigenvalues(m, alpha2))
-
-
 def psk_correlation(m, alpha2):
-    """Correlation term Z_M = 2 a^2 sum_k lambda_k^{3/2}/lambda_{k+1}^{1/2}."""
+    """Correlation term Z_M = 2 a^2 sum_k lambda_k^{3/2}/lambda_{k+1}^{1/2}.
+
+    lambda_k is the PSK(M) mixture spectrum of ``mary.psk_log_eigenvalues``.
+    """
     if alpha2 == 0.0:
         return 0.0
-    log_lam = _psk_log_eigenvalues(m, alpha2)
+    log_lam = psk_log_eigenvalues(m, alpha2)
     log_next = np.roll(log_lam, -1)
     return float(2.0 * alpha2 * np.sum(np.exp(1.5 * log_lam - 0.5 * log_next)))
 

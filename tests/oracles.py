@@ -11,7 +11,9 @@ construction that shares no code with ``cvq.qkd``:
   and of Alice's mode conditioned on Bob's q-homodyne outcome;
 * I_AB of double-homodyne QPSK from a full-plane 2-D Simpson rule on
   the four-component outcome density, with no factorization assumed;
-* the closed-form spectrum of the balanced QPSK coherent mixture;
+* the closed-form spectrum of the balanced QPSK coherent mixture, and
+  the PSK(M) mixture spectrum from its Fock series in exact rational
+  terms summed by ``math.fsum``;
 * the two-mode symplectic spectrum from the Delta/I4 invariants;
 * homodyne conditioning as the z -> 0 limit of a finite-variance
   Gaussian measurement, sigma_A - C (sigma_B + diag(z, 1/z))^-1 C^T;
@@ -25,6 +27,7 @@ package README.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -112,6 +115,21 @@ def qpsk_mixture_eigenvalues(energy):
             0.5 * e * (math.sinh(energy) - abs(math.sin(energy))),
         ]
     )
+
+
+def psk_mixture_eigenvalues(m, energy):
+    """Spectrum lambda_k = e^-E sum_n E^(nM+k) / (nM+k)! of the PSK(M) mixture.
+
+    Every term is the correctly rounded value of an exact fraction, and
+    ``math.fsum`` adds them, so the only other rounding is that of e^-E.
+    """
+    e = Fraction(energy)
+    n_max = int(4.0 * energy) + 60
+    return np.array([
+        math.exp(-energy) * math.fsum(
+            float(e**n / math.factorial(n)) for n in range(k, n_max, m))
+        for k in range(m)
+    ])
 
 
 def symplectic_eigenvalues_closed2(cm):

@@ -121,12 +121,14 @@ class TestCliProcess:
 class TestBlasThreads:
     """A fast row writes the same bytes with one and with two BLAS threads.
 
-    The Gaussian rates run their seeding grids as batched LAPACK calls;
-    each experiment runs in a fresh interpreter, since BLAS reads its
-    thread count at import.
+    The Gaussian rates run their seeding grids as batched LAPACK calls,
+    and ``psk-kgr`` and ``kor-ratio`` read the shared PSK mixture
+    spectrum; each experiment runs in a fresh interpreter, since BLAS
+    reads its thread count at import.
     """
 
-    @pytest.mark.parametrize("eid", ["gg02-kgr", "trusted-qpsk", "multispan-unconditional"])
+    @pytest.mark.parametrize("eid", ["gg02-kgr", "trusted-qpsk", "multispan-unconditional",
+                                     "psk-kgr", "kor-ratio"])
     def test_csv_identical_for_one_and_two_threads(self, eid, tmp_path):
         src = str(Path(cvq.__file__).resolve().parents[1])
         blobs = []

@@ -31,6 +31,14 @@ class TestKorRate:
             r = kor.kor_rate(a2, np.zeros(4), 0.9, BETA)
             assert r["I_AB"] <= 2.0 + 1e-12
 
+    def test_low_energy_rate_matches_series_spectrum(self, monkeypatch):
+        # at 200 km the smallest Gram eigenvalue is ~5e-15 of the largest
+        args = (0.3, [0.0, math.pi, math.pi, 0.0], t_of(200.0), BETA)
+        k = kor.kor_rate(*args)["K"]
+        monkeypatch.setattr(mary, "gram_eigenvalues",
+                            lambda m, e: m * oracles.psk_mixture_eigenvalues(m, e))
+        assert abs(k / kor.kor_rate(*args)["K"] - 1.0) < 1e-10
+
     def test_eve_conditional_spectra_normalized(self):
         t, a2 = 0.5, 0.7
         cond = kor._cond_probs_batch(a2, t, np.zeros((1, 4)))[0]

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cvq import mary
 from cvq.numerics import bisect_root
+
+import oracles
 
 
 class TestGram:
@@ -44,6 +47,33 @@ class TestGram:
             assert np.max(np.abs(np.sort(ev) - dense)) < 1e-10
             u = mary.dft_eigenvectors(m)
             assert np.max(np.abs(u.conj().T @ g @ u - np.diag(ev))) < 1e-10
+
+
+class TestPskSpectrum:
+    @pytest.mark.parametrize("energy", [1e-4, 1e-3, 5e-3])
+    def test_small_energy_matches_series_oracle(self, energy):
+        lam = mary.gram_eigenvalues(4, energy) / 4
+        oracle = oracles.psk_mixture_eigenvalues(4, energy)
+        assert np.max(np.abs(lam / oracle - 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_zero_energy_exact(self, m):
+        expect = np.zeros(m)
+        expect[0] = m
+        assert np.array_equal(mary.gram_eigenvalues(m, 0.0), expect)
+
+    def test_negative_energy_raises(self):
+        with pytest.raises(ValueError, match="energy"):
+            mary.psk_log_eigenvalues(4, -1e-9)
+
+    def test_log_sum_exp_is_scipy_bitwise(self):
+        for m in (2, 4, 8, 16):
+            for energy in np.geomspace(1e-6, 60.0, 50):
+                n_terms = max(8, math.ceil((4.0 * energy + 40.0) / m))
+                idx = np.arange(n_terms)[None, :] * m + np.arange(m)[:, None]
+                logs = idx * math.log(energy) - special.gammaln(idx + 1.0)
+                expect = -energy + special.logsumexp(logs, axis=-1)
+                assert np.array_equal(mary.psk_log_eigenvalues(m, energy), expect)
 
 
 class TestGusReceiver:

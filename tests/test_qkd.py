@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cvq import gaussian as gs
-from cvq import kor, qkd
+from cvq import kor, mary, qkd
 from cvq.numerics import PrecisionWarning, simpson_weights
 
 import oracles
@@ -91,7 +91,7 @@ class TestGg02:
 class TestPsk:
     def test_state_eigenvalues_qpsk_closed_form(self):
         a2 = 0.8
-        lam = qkd.psk_state_eigenvalues(4, a2)
+        lam = np.exp(mary.psk_log_eigenvalues(4, a2))
         e = math.exp(-a2) / 2
         expect = [
             e * (math.cosh(a2) + math.cos(a2)),
