@@ -1,10 +1,10 @@
 """BPSK coherent-state discrimination: bounds, receivers, imperfections.
 
 The scenario is |alpha_k> = |(-1)^(k+1) alpha> with equal priors.  All
-error probabilities account for a detector efficiency eta; exactly one
-further imperfection class (dark counts, visibility, or phase
-diffusion) may be active per call, mirroring the separated analyses the
-receivers were designed for.
+error probabilities account for a detector efficiency eta and any mix
+of dark counts, reduced visibility and phase diffusion, except where a
+receiver rejects a defect it does not model (the feed-forward receivers
+reject phase diffusion).
 """
 
 from __future__ import annotations
@@ -53,28 +53,15 @@ class BpskScenario:
             raise ValueError("signal energy must be >= 0")
         if self.sigma_pd < 0:
             raise ValueError("phase-diffusion std must be >= 0")
-        active = sum(
-            [self.spec.nu > 0.0, self.spec.xi < 1.0, self.sigma_pd > 0.0]
-        )
-        if active > 1:
-            raise ValueError(
-                "only one imperfection class (dark counts, visibility, "
-                "phase diffusion) may be active at a time"
-            )
 
     @property
     def alpha(self):
         return math.sqrt(self.alpha2)
 
     @property
-    def noise_kind(self):
-        if self.spec.nu > 0.0:
-            return "dark"
-        if self.spec.xi < 1.0:
-            return "visibility"
-        if self.sigma_pd > 0.0:
-            return "phase-noise"
-        return "ideal"
+    def ideal(self):
+        """No dark counts, full visibility and no phase diffusion (any eta)."""
+        return self.spec.nu == 0.0 and self.spec.xi == 1.0 and self.sigma_pd == 0.0
 
 
 @dataclass(frozen=True)
@@ -201,16 +188,15 @@ def kennedy_family(scenario: BpskScenario, mode="nulling") -> ReceiverResult:
     """
     a2, a = scenario.alpha2, scenario.alpha
     eta = scenario.spec.eta
-    kind = scenario.noise_kind
 
     if mode == "nulling":
-        if kind not in ("ideal",):
+        if not scenario.ideal:
             raise ValueError("nulling mode supports only the efficiency defect; "
                              "use mode='dpnr' for noisy detectors")
         return ReceiverResult(0.5 * math.exp(-4.0 * eta * a2), {"beta": a})
 
     if mode == "improved":
-        if kind not in ("ideal",):
+        if not scenario.ideal:
             raise ValueError("improved mode supports only the efficiency defect")
         ae = math.sqrt(eta) * a
         be = _improved_kennedy_beta(ae)
@@ -272,15 +258,12 @@ def dffre(scenario: BpskScenario, n_copies: int) -> ReceiverResult:
     """
     if n_copies < 1:
         raise ValueError("need at least one copy")
-    if scenario.noise_kind == "phase-noise":
+    if scenario.sigma_pd > 0.0:
         raise ValueError("feed-forward receivers are not defined under phase noise")
     spec = scenario.spec
     eta, nu, xi = spec.eta, spec.nu, spec.xi
     m = spec.effective_resolution(eta * 4.0 * scenario.alpha2 + nu + 1.0)
-    if scenario.noise_kind == "ideal":
-        ths = [1]
-    else:
-        ths = list(range(1, m + 1))
+    ths = [1] if scenario.ideal else list(range(1, m + 1))
     best = None
     for n_th in ths:
         probs, betas = _ff_recursion(scenario.alpha, n_copies, eta, nu, xi, n_th, 0.5)
@@ -349,7 +332,7 @@ def hynore(scenario: BpskScenario, detection="hl", z=None,
     """
     a2 = scenario.alpha2
     if detection == "homodyne":
-        if scenario.noise_kind != "ideal" or scenario.spec.eta != 1.0:
+        if not scenario.ideal or scenario.spec.eta != 1.0:
             raise ValueError("homodyne-limit mode covers only the ideal case")
         a = scenario.alpha
 
@@ -402,14 +385,14 @@ def hffre(scenario: BpskScenario, n_copies: int, grid=21) -> ReceiverResult:
     """Hybrid feed-forward receiver: HL-seeded DFFRE over N copies."""
     if n_copies < 1:
         raise ValueError("need at least one copy")
-    if scenario.noise_kind == "phase-noise":
+    if scenario.sigma_pd > 0.0:
         raise ValueError("feed-forward receivers are not defined under phase noise")
     spec = scenario.spec
     eta, nu, xi = spec.eta, spec.nu, spec.xi
     m = spec.effective_resolution(eta * 4.0 * scenario.alpha2 + nu + 1.0)
     if spec.is_infinite:
         raise ValueError("HFFRE needs a finite PNR resolution")
-    ths = [1] if scenario.noise_kind == "ideal" else list(range(1, m + 1))
+    ths = [1] if scenario.ideal else list(range(1, m + 1))
     z_max = math.sqrt(spec.resolution + 3.0)
 
     best = {"p": None}

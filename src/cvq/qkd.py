@@ -46,9 +46,6 @@ __all__ = [
 
 LOG2E = 1.0 / math.log(2.0)
 GRAM_FLOOR = 1e-15  # Gram eigenvalues below GRAM_FLOOR * max are dropped
-# per-mode cutoff cap of Eve's two-mode Fock expansion (31^2-dim matrices);
-# gs.FOCK_CAP would mean 201^2-dim ones, tens of GB for four states
-WIRETAP_FOCK_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -621,13 +618,34 @@ def _eve_pure_loss(alpha2, t):
     return gram, s_e, 2.0 * math.sqrt(t) * np.real(amps), 1.0
 
 
+def _eve_squeezer(cm_e):
+    """(S, nu), S cm_e S^T = diag(1, 1, nu, nu), for cm_e = [[c I, d Z], [d Z, e I]].
+
+    Eve's modes complement Bob's in a pure state, so nu is Bob's variance
+    (Botero and Reznik, Phys. Rev. A 67, 052311 (2003)); S is the two-mode
+    squeezer with tanh 2r = -2d / (c + e), Z = diag(1, -1).
+    """
+    r = 0.5 * math.atanh(-2.0 * cm_e[0, 2] / (cm_e[0, 0] + cm_e[2, 2]))
+    s = math.cosh(r) * np.eye(4) + math.sinh(r) * np.kron([[0, 1], [1, 0]], np.diag([1.0, -1.0]))
+    out = s @ cm_e @ s.T
+    if np.max(np.abs(out - np.diag([1.0, 1.0, out[2, 2], out[2, 2]]))) > gs.PHYS_TOL:
+        raise ValueError(f"Eve's squeezed CM is not vacuum times thermal: {np.diag(out)}")
+    return s, out[2, 2]
+
+
 def _eve_dilation(alpha2, channel):
     """(G, S(E), Bob's means, Bob's variance) of the entangling cloner.
 
     Modes (B, E1, E2): Alice's coherent state meets one arm of a TMSV
-    at the channel's beam splitter.  S(E) expands Eve's two-mode mixture
-    in the Fock basis.  Given Bob's homodyne outcome x her states have
-    means d_k(x) = c_k + g x, c_k = fm_E,k - g m_k, g = sigma_EB / sigma_B.
+    at the channel's beam splitter.  ``_eve_squeezer`` maps Eve's states
+    to coherent states on E1, of Gram matrix C^dag C, times displaced
+    thermal states A_k on E2, so S(E) is the entropy of
+    sum_k (C e_k)(C e_k)^dag (x) A_k / 4.  A Fock tail t left out of the
+    A_k moves S(E) by about t log2(1/t), so their cutoff starts at 20 (a
+    tail at rounding level for nu <= 1.2) and doubles, up to
+    ``gs.FOCK_CAP``, while their mean's tail is ``gs.FOCK_TAIL_TOL`` or
+    more.  Given Bob's homodyne outcome x her states have means
+    d_k(x) = c_k + g x, c_k = fm_E,k - g m_k, g = sigma_EB / sigma_B.
     The shift g x is common to all four symbols, a unitary, so the
     conditional entropies come from the one Gram matrix of the c_k.
     """
@@ -642,29 +660,25 @@ def _eve_dilation(alpha2, channel):
                     for a in _qpsk_amps(alpha2)])
     var_b = cm[0, 0]
     means = fms[:, 0]
-    # Eve marginal: modes (E1, E2).  The cutoff grows by 2, not
-    # doubling: the tail already falls 10-1000x per step
-    idx_e = np.array([2, 3, 4, 5])
-    cm_e = cm[np.ix_(idx_e, idx_e)]
-    fm_e = fms[:, idx_e]
-    # largest mean photon number per mode over the four symbols
-    nb = (np.trace(cm_e) - 4.0 + np.max(np.sum(fm_e**2, axis=1))) / 8.0
-    cutoff = min(max(6, int(np.ceil(4.0 * (nb + 1.0))) + 2), WIRETAP_FOCK_CAP)
+    sq, nu = _eve_squeezer(cm[2:, 2:])
+    fm_s = fms[:, 2:] @ sq.T
+    lam, vec = np.linalg.eigh(_displaced_gram(np.eye(2), fm_s[:, :2]))
+    c = np.sqrt(np.clip(lam, 0.0, None))[:, None] * vec.conj().T
+    cutoff = 20
     while True:
-        rho_bar = gs._fock_batch(cm_e, fm_e, (cutoff, cutoff)).mean(axis=0)
-        tail = 1.0 - float(np.real(np.trace(rho_bar)))
-        if tail < gs.FOCK_TAIL_TOL or cutoff >= WIRETAP_FOCK_CAP:
+        fock = gs._fock_batch(nu * np.eye(2), fm_s[:, 2:], (cutoff,))
+        tail = 1.0 - float(np.real(np.trace(fock.mean(axis=0))))
+        if tail < gs.FOCK_TAIL_TOL or cutoff >= gs.FOCK_CAP:
             break
-        cutoff = min(cutoff + 2, WIRETAP_FOCK_CAP)
+        cutoff = min(2 * cutoff, gs.FOCK_CAP)
     if tail >= gs.FOCK_TAIL_TOL:
-        warnings.warn(
-            f"wiretap Fock cutoff cap {WIRETAP_FOCK_CAP} reached (tail {tail:.1e})",
-            PrecisionWarning,
-        )
-    s_e = float(_entropy_batch(rho_bar))
+        warnings.warn(f"S(E) Fock cutoff cap {gs.FOCK_CAP} reached (tail {tail:.1e})",
+                      PrecisionWarning)
+    rho = np.einsum("ik,jk,kab->iajb", c, c.conj(), fock).reshape(4 * cutoff + 4, -1)
+    s_e = float(_entropy_batch(rho / 4.0))
     cond = gs.condition_on_measurement(cm, 0)
-    gain = cm[idx_e, 0] / var_b  # sigma_EB * pinv
-    return _displaced_gram(cond, fm_e - gain * means[:, None]), s_e, means, var_b
+    gain = cm[2:, 0] / var_b  # sigma_EB * pinv
+    return _displaced_gram(cond, fms[:, 2:] - gain * means[:, None]), s_e, means, var_b
 
 
 def _outcome_chi(gram, s_e, means, var, n_nodes):
@@ -702,11 +716,12 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
     """QPSK key rate when Eve holds exactly the channel environment.
 
     At eps = 0 Eve holds the reflected coherent states and S(E) is their
-    Gram spectrum; at eps > 0 she holds the entangling-cloner dilation
-    and S(E) is expanded in the Fock basis, its cutoff grown until the
-    tail drops below ``gs.FOCK_TAIL_TOL``.  Her states conditioned on
-    Bob's homodyne outcome are, in both cases, posterior-weighted
-    mixtures with one fixed 4 x 4 Gram matrix, integrated over x >= 0
+    Gram spectrum; at eps > 0 she holds the entangling-cloner dilation,
+    which a two-mode squeezer maps to coherent states times displaced
+    thermal states, and S(E) expands the thermal mode alone in the Fock
+    basis (``_eve_dilation``).  Her states conditioned on Bob's homodyne
+    outcome are, in both cases, posterior-weighted mixtures with one
+    fixed 4 x 4 Gram matrix, integrated over x >= 0
     by ``_outcome_chi`` (one axis) on ``n_nodes`` (odd) Simpson nodes.
     ``loss_model`` only validates: 'pure' requires eps = 0, 'thermal'
     accepts any eps.

@@ -225,7 +225,8 @@ def fock_conditional_entropy(cm_cond, cond_fms, wk, cutoff):
 
     ``cond_fms`` is (nodes, K, 4) and ``wk`` (nodes, K): each node's
     mixture of two-mode Gaussian states is expanded at ``cutoff`` photons
-    per mode and diagonalized densely.
+    per mode and diagonalized densely.  One node of weights 1/4 at Eve's
+    own CM and means is the two-mode S(E) of the entangling cloner.
     """
     nodes, k = wk.shape
     rho = gs._fock_batch(cm_cond, cond_fms.reshape(nodes * k, -1), (cutoff, cutoff))

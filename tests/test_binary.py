@@ -122,16 +122,13 @@ class TestKennedyFamily:
     def test_dpnr_threshold_is_binwise_map(self):
         # the likelihood ratio grows with n, so the threshold rule is the
         # bin-by-bin MAP rule wherever the threshold does not saturate
-        for kw in DEFECT_CLASSES.values():
+        combined = {"spec": PnrSpec(resolution=5, eta=0.7, nu=1e-3, xi=0.99), "sigma_pd": 0.1}
+        for kw in [*DEFECT_CLASSES.values(), combined]:
             kw = {"spec": PnrSpec(resolution=5), **kw}
             for a2 in (0.05, 0.5, 1.5, 4.0):
                 r = b.kennedy_family(scen(a2, **kw), "dpnr")
                 assert r.params["n_th"] < 5
                 assert abs(r.p_err - binwise_map_error(scen(a2, **kw), 5)) < 1e-12
-
-    def test_rejects_mixed_imperfections(self):
-        with pytest.raises(ValueError):
-            scen(1.0, spec=PnrSpec(resolution=2, nu=1e-3, xi=0.99))
 
 
 class TestDffre:
@@ -160,6 +157,12 @@ class TestDffre:
         p1 = b.dffre(scen(30.0, spec=spec), 1).p_err
         p8 = b.dffre(scen(30.0, spec=spec), 8).p_err
         assert p8 > p1  # accumulated feed-forward errors
+
+    def test_rejects_phase_noise_with_dark_counts(self):
+        sc = scen(1.0, spec=PnrSpec(resolution=2, nu=1e-3), sigma_pd=0.1)
+        for receiver in (b.dffre, b.hffre):
+            with pytest.raises(ValueError, match="phase noise"):
+                receiver(sc, 2)
 
 
 class TestHynore:

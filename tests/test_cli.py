@@ -122,15 +122,18 @@ class TestBlasThreads:
     """A fast row writes the same bytes with one and with two BLAS threads.
 
     The Gaussian rates run their seeding grids as batched LAPACK calls,
-    and ``psk-kgr`` and ``kor-ratio`` read the shared PSK mixture
-    spectrum; each experiment runs in a fresh interpreter, since BLAS
-    reads its thread count at import.
+    ``psk-kgr`` and ``kor-ratio`` read the shared PSK mixture spectrum,
+    and ``wiretap-qpsk`` takes Eve's S(E) from one 4(N+1)-row eigenproblem
+    (at 1 km, where a two-mode Fock expansion once differed in the last
+    bits); each experiment runs in a fresh interpreter, since BLAS reads
+    its thread count at import.
     """
 
     @pytest.mark.parametrize("eid", ["gg02-kgr", "trusted-qpsk", "multispan-unconditional",
-                                     "psk-kgr", "kor-ratio"])
+                                     "psk-kgr", "kor-ratio", "wiretap-qpsk"])
     def test_csv_identical_for_one_and_two_threads(self, eid, tmp_path):
         src = str(Path(cvq.__file__).resolve().parents[1])
+        d_km = "1" if eid == "wiretap-qpsk" else "40"
         blobs = []
         for threads in ("1", "2"):
             out = tmp_path / f"{threads}.csv"
@@ -139,7 +142,7 @@ class TestBlasThreads:
             proc = subprocess.run(
                 [sys.executable, "-c", "import sys; from cvq.cli import main; "
                  "sys.exit(main(sys.argv[1:]))", eid, "--profile", "fast",
-                 "--key", "d_min=40", "--key", "d_max=40", "--key", "points=1",
+                 "--key", f"d_min={d_km}", "--key", f"d_max={d_km}", "--key", "points=1",
                  "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=300,
             )

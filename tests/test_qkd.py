@@ -358,6 +358,22 @@ class TestMixtureEntropy:
         assert cutoffs and max(cutoffs) <= gs.FOCK_CAP
 
 
+def _eve_inputs(a2, ch):
+    """Eve's (E1, E2) means and the (B, E1, E2) CM that ``qkd._eve_dilation`` conditions."""
+    seen, condition = {}, gs.condition_on_measurement
+
+    def spy(cm, measured_mode, quad=0):
+        seen["cm"] = cm
+        return condition(cm, measured_mode, quad)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs, "condition_on_measurement", spy)
+        qkd._eve_dilation(a2, ch)
+    s = gs.beam_splitter_matrix(ch.T, [0, 1], 3)
+    fms = np.array([s @ [2.0 * a.real, 2.0 * a.imag, 0, 0, 0, 0] for a in kor._qpsk_amps(a2)])
+    return fms[:, 2:], seen["cm"]
+
+
 class TestWiretap:
     def test_t_one_no_leak(self):
         r = qkd.wiretap_qpsk_kgr(qkd.ChannelParams(1.0, 0.0), BETA, "pure", alpha2=0.4)
@@ -379,35 +395,22 @@ class TestWiretap:
         assert abs(kp.K - kt.K) < 1e-6
 
     @pytest.mark.parametrize("d", [5.0, 60.0])
-    def test_gram_kernel_matches_fock_oracle(self, d, monkeypatch):
+    def test_gram_kernel_matches_fock_oracle(self, d):
         # the oracle expands each node's mixture at the symbol's own
         # conditional means d_k(x) = fm_E,k + g (x - m_k); the kernel
         # drops the common shift g x and uses one Gram matrix
-        seen = {}
-        fock, condition = gs._fock_batch, gs.condition_on_measurement
-
-        def fock_spy(cm, fms, cutoffs):
-            seen["fm_e"] = fms
-            return fock(cm, fms, cutoffs)
-
-        def condition_spy(cm, measured_mode, quad=0):
-            seen["cm"] = cm
-            seen["cond"] = condition(cm, measured_mode, quad)
-            return seen["cond"]
-
-        monkeypatch.setattr(gs, "_fock_batch", fock_spy)
-        monkeypatch.setattr(gs, "condition_on_measurement", condition_spy)
-        gram, _, means, var = qkd._eve_dilation(0.4, qkd.ChannelParams.from_distance(d, 0.02))
-        monkeypatch.undo()
-        gain = seen["cm"][2:, 0] / seen["cm"][0, 0]
+        ch = qkd.ChannelParams.from_distance(d, 0.02)
+        gram, _, means, var = qkd._eve_dilation(0.4, ch)
+        fm_e, cm = _eve_inputs(0.4, ch)
+        gain = cm[2:, 0] / cm[0, 0]
         assert np.max(np.abs(gain)) > 1e-3  # the common shift is not zero
         xmax = np.max(np.abs(means)) + 8.0 * math.sqrt(var)
         xs = np.linspace(0.0, xmax, 201)[[0, 60, 200]]
         lik = np.exp(-((xs[:, None] - means[None, :]) ** 2) / (2.0 * var))
         pb, s_gram = qkd._posterior_entropy(gram, lik)
-        cond_fms = seen["fm_e"][None] + gain * (xs[:, None] - means[None, :])[:, :, None]
+        cond_fms = fm_e[None] + gain * (xs[:, None] - means[None, :])[:, :, None]
         s, defect = oracles.fock_conditional_entropy(
-            seen["cond"], cond_fms, lik / (4.0 * pb[:, None]), 12
+            gs.condition_on_measurement(cm, 0), cond_fms, lik / (4.0 * pb[:, None]), 12
         )
         assert defect < 1e-11
         assert np.max(np.abs(s - s_gram)) < 1e-10
@@ -419,12 +422,9 @@ class TestWiretap:
         with pytest.raises(ValueError, match="pure"):
             qkd._displaced_gram(np.diag([1.5, 1.5, 1.0, 1.0]), fms)
 
-    def test_thermal_equals_pure_at_zero_noise(self, monkeypatch):
+    def test_thermal_equals_pure_at_zero_noise(self):
         # at eps = 0 the dilation's Gram matrix is the coherent one and
-        # only S(E)'s Fock truncation separates the two; a 1e-14 tail
-        # keeps it below 1e-13 (at the default 1e-10 tail it reaches
-        # 7e-11 at these points)
-        monkeypatch.setattr(gs, "FOCK_TAIL_TOL", 1e-14)
+        # Eve's squeezed second mode is vacuum
         for d in (5.0, 40.0, 80.0):
             ch = qkd.ChannelParams.from_distance(d, 0.0)
             for a2 in (0.3, 1.5, 2.0):
@@ -435,13 +435,38 @@ class TestWiretap:
                 assert np.max(np.abs(m_d - m_c)) < 1e-12 and abs(v_d - v_c) < 1e-12
 
     def test_eve_cutoff_cap_warns_once(self, monkeypatch):
-        monkeypatch.setattr(qkd, "WIRETAP_FOCK_CAP", 9)
-        ch = qkd.ChannelParams.from_distance(40.0, 0.02)
+        # nu = 4.8 at this point: the thermal tail at 40 photons is ~1e-8
+        monkeypatch.setattr(gs, "FOCK_CAP", 40)
+        ch = qkd.ChannelParams.from_distance(1.0, 4.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             qkd._wiretap_chi(2.0, ch, 101)
         hits = [w for w in caught if issubclass(w.category, PrecisionWarning)]
-        assert len(hits) == 1 and "cap 9" in str(hits[0].message)
+        assert len(hits) == 1 and "cap 40" in str(hits[0].message)
+
+    @pytest.mark.parametrize("d", [5.0, 40.0])
+    @pytest.mark.parametrize("a2", [0.3, 1.5])
+    def test_one_mode_entropy_matches_two_mode_oracle(self, d, a2, monkeypatch):
+        # the oracle is the two-mode Fock expansion of Eve's mixture: one
+        # node of weight 1/4 per symbol
+        ch = qkd.ChannelParams.from_distance(d, 0.02)
+        s_default = qkd._eve_dilation(a2, ch)[1]
+        monkeypatch.setattr(gs, "FOCK_TAIL_TOL", 1e-14)
+        s_e = qkd._eve_dilation(a2, ch)[1]
+        fm_e, cm = _eve_inputs(a2, ch)
+        s, defect = oracles.fock_conditional_entropy(cm[2:, 2:], fm_e[None], np.full((1, 4), 0.25), 22)
+        assert defect < 1e-14
+        assert abs(s_e - s[0]) <= 1e-12 and abs(s_default - s[0]) <= 1e-12
+
+    @pytest.mark.parametrize("d, eps", [(1.0, 0.02), (40.0, 0.02), (20.0, 0.3)])
+    def test_eve_squeezer_is_williamson(self, d, eps):
+        cm = _eve_inputs(1.0, qkd.ChannelParams.from_distance(d, eps))[1]
+        s, nu = qkd._eve_squeezer(cm[2:, 2:])
+        assert np.max(np.abs(s @ gs.omega(2) @ s.T - gs.omega(2))) < 1e-12
+        assert np.max(np.abs(s @ cm[2:, 2:] @ s.T - np.diag([1.0, 1.0, nu, nu]))) < 1e-12
+        assert abs(nu - cm[0, 0]) < 1e-12
+        with pytest.raises(ValueError, match="vacuum"):
+            qkd._eve_squeezer(np.diag([1.5, 1.5, 1.0, 1.0]))
 
     @staticmethod
     def _full_grid_chi(gram, s_e, means, var, n):
