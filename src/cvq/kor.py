@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from . import gaussian as gs
 from . import mary
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 M_QPSK = 4
+ALPHA2_BOX = (1e-2, 4.0)  # pulse-energy search box of every rate here
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,7 @@ def kor_rate(alpha2, phases, t, beta):
     }
 
 
-def optimize_kor(t, beta, mode="KOR", lattice=16,
-                 alpha2_box=(1e-2, 4.0)) -> KgrResult:
+def optimize_kor(t, beta, mode="KOR", lattice=16) -> KgrResult:
     """Maximize the key rate over the receiver phases and pulse energy.
 
     mode='PGM' pins the phases to zero and tunes only the energy;
@@ -116,7 +117,7 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
 
     if mode not in ("KOR", "PGM"):
         raise ValueError("mode must be 'KOR' or 'PGM'")
-    pgm = _rate_result(pointwise(pgm_parts), beta, None, alpha2_box, 31, 1e-7,
+    pgm = _rate_result(pointwise(pgm_parts), beta, None, ALPHA2_BOX, 31, 1e-7,
                        phases=np.zeros(4))
     if mode == "PGM":
         return pgm
@@ -131,15 +132,13 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
     ph0 = cand[best, 1:]
 
     def neg_k_joint(x):
-        a2 = min(max(x[3], alpha2_box[0]), alpha2_box[1])
+        a2 = min(max(x[3], ALPHA2_BOX[0]), ALPHA2_BOX[1])
         cond = _cond_probs_batch(a2, t, np.array([[0.0, x[0], x[1], x[2]]]))
         k, _, _ = _rates_from_cond(cond, a2, t, beta)
         return -float(k[0])
 
-    from scipy import optimize as sopt
-
     x0 = np.array([ph0[0], ph0[1], ph0[2], a_pgm])
-    res = sopt.minimize(
+    res = optimize.minimize(
         neg_k_joint, x0, method="Nelder-Mead",
         options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 4000},
     )
@@ -147,7 +146,7 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
     if -res.fun < k_pgm_opt + 1e-12:
         x = np.array([0.0, 0.0, 0.0, a_pgm])  # tie toward the PGM
     phases = np.mod(np.concatenate([[0.0], x[:3]]), 2.0 * np.pi)
-    a_opt = float(min(max(x[3], alpha2_box[0]), alpha2_box[1]))
+    a_opt = float(min(max(x[3], ALPHA2_BOX[0]), ALPHA2_BOX[1]))
     out = kor_rate(a_opt, phases, t, beta)
     return KgrResult(
         out["K"], out["I_AB"], out["chi_BE"], beta,
@@ -155,7 +154,7 @@ def optimize_kor(t, beta, mode="KOR", lattice=16,
     )
 
 
-def dh_rate(t, beta, alpha2=None, n_nodes=101, alpha2_box=(1e-2, 4.0)) -> KgrResult:
+def dh_rate(t, beta, alpha2=None, n_nodes=101) -> KgrResult:
     """Double-homodyne baseline over the same wiretap channel.
 
     Bob reads both quadratures, each of variance 2; given the symbol they
@@ -173,10 +172,10 @@ def dh_rate(t, beta, alpha2=None, n_nodes=101, alpha2_box=(1e-2, 4.0)) -> KgrRes
         i_ab = h_b - math.log2(2.0 * math.pi * math.e * var)
         return i_ab, max(_outcome_chi(gram, s_e, means, var, n_nodes), 0.0)
 
-    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 17, 2e-5)
+    return _rate_result(pointwise(parts), beta, alpha2, ALPHA2_BOX, 17, 2e-5)
 
 
-def qdffre_rate(t, beta, n_copies, alpha2=None, alpha2_box=(1e-2, 4.0)) -> KgrResult:
+def qdffre_rate(t, beta, n_copies, alpha2=None) -> KgrResult:
     """Key rate when Bob runs the displacement feed-forward receiver."""
 
     def parts(a2):
@@ -184,7 +183,7 @@ def qdffre_rate(t, beta, n_copies, alpha2=None, alpha2_box=(1e-2, 4.0)) -> KgrRe
         _, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
         return float(i_ab), float(chi)
 
-    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 17, 2e-5, N=n_copies)
+    return _rate_result(pointwise(parts), beta, alpha2, ALPHA2_BOX, 17, 2e-5, N=n_copies)
 
 
 def phase_orbit(phases):

@@ -14,13 +14,14 @@ feed-forward refinement.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .binary import ReceiverResult
-from .numerics import minimize_bounded, pointwise
+from .numerics import minimize_bounded
 
 __all__ = [
     "GusReceiver",
@@ -120,8 +121,6 @@ def gus_receiver(m, energy, phases):
     g, ev = psk_gram(m, energy)
     u = dft_eigenvectors(m)
     if np.min(ev) < 1e-14 * np.max(ev):
-        import warnings
-
         warnings.warn(
             "near-singular Gram matrix: receiver uses a pseudo-inverse",
             UserWarning,
@@ -146,7 +145,11 @@ def pgm_error(m, energy):
 
 
 def qpsk_sql(energy):
-    """Double-homodyne QPSK error: 1 - [(1 + erf(a/sqrt 2))/2]^2 ... etc."""
+    """Double-homodyne QPSK error 1 - (1/4)(1 + erf(a/sqrt 2))^2, a = sqrt(E).
+
+    Each quadrature decides its sign alone, correctly with probability
+    (1 + erf(a/sqrt 2))/2, and a symbol is right when both are.
+    """
     a = math.sqrt(energy)
     return 1.0 - 0.25 * (1.0 + math.erf(a / math.sqrt(2.0))) ** 2
 
@@ -168,7 +171,7 @@ def bondurant(energy, kind="I"):
 
 
 def _qdre_cond_diag(a2, t1, t2):
-    """Correct-decision probabilities p(k|k) of the QDRE."""
+    """Correct-decision probabilities p(k|k) of the QDRE, elementwise in t1, t2."""
     r1 = 1.0 - t1
     r2 = 1.0 - t2
     b1, b2, b3 = t1, r1 * r2, r1 * t2  # energy fractions: null-0, null-2, null-1
@@ -176,19 +179,30 @@ def _qdre_cond_diag(a2, t1, t2):
     def d2(k, j):
         return 2.0 * a2 * (1.0 - math.cos((k - j) * math.pi / 2.0))
 
-    p00 = math.exp(-b1 * d2(0, 0))
+    p00 = np.exp(-b1 * d2(0, 0))
     p11 = (
-        (1.0 - math.exp(-b1 * d2(1, 0)))
-        * (1.0 - math.exp(-b2 * d2(1, 2)))
-        * math.exp(-b3 * d2(1, 1))
+        (1.0 - np.exp(-b1 * d2(1, 0)))
+        * (1.0 - np.exp(-b2 * d2(1, 2)))
+        * np.exp(-b3 * d2(1, 1))
     )
-    p22 = (1.0 - math.exp(-b1 * d2(2, 0))) * math.exp(-b2 * d2(2, 2))
+    p22 = (1.0 - np.exp(-b1 * d2(2, 0))) * np.exp(-b2 * d2(2, 2))
     p33 = (
-        (1.0 - math.exp(-b1 * d2(3, 0)))
-        * (1.0 - math.exp(-b2 * d2(3, 2)))
-        * (1.0 - math.exp(-b3 * d2(3, 1)))
+        (1.0 - np.exp(-b1 * d2(3, 0)))
+        * (1.0 - np.exp(-b2 * d2(3, 2)))
+        * (1.0 - np.exp(-b3 * d2(3, 1)))
     )
     return p00, p11, p22, p33
+
+
+def _qdre_perr(energy, t):
+    """QDRE error at transmissivity points ``t`` of shape (..., 2).
+
+    Each (t1, t2) is clamped to [1e-9, 1 - 1e-9]; a deterministic tilt
+    of 1e-15 t1 breaks flat ties toward smaller t1.
+    """
+    t = np.clip(t, 1e-9, 1.0 - 1e-9)
+    t1, t2 = t[..., 0], t[..., 1]
+    return 1.0 - 0.25 * sum(_qdre_cond_diag(energy, t1, t2)) + 1e-15 * t1
 
 
 def qdre(energy, mode="equal") -> ReceiverResult:
@@ -196,22 +210,17 @@ def qdre(energy, mode="equal") -> ReceiverResult:
 
     mode = "equal": even split, (t1, t2) = (1/3, 1/2); mode =
     "optimized": the two transmissivities are tuned per energy (ties
-    broken toward smaller t1).
+    broken toward smaller t1); the seeding grid and the polish evaluate
+    the same array objective.
     """
     if mode == "equal":
         t1, t2 = 1.0 / 3.0, 0.5
         p = 1.0 - 0.25 * sum(_qdre_cond_diag(energy, t1, t2))
-        return ReceiverResult(p, {"t1": t1, "t2": t2})
+        return ReceiverResult(float(p), {"t1": t1, "t2": t2})
     if mode != "optimized":
         raise ValueError("mode must be 'equal' or 'optimized'")
-
-    def perr(v):
-        t1 = min(max(v[0], 1e-9), 1.0 - 1e-9)
-        t2 = min(max(v[1], 1e-9), 1.0 - 1e-9)
-        # deterministic tiny tilt breaks flat ties toward smaller t1
-        return 1.0 - 0.25 * sum(_qdre_cond_diag(energy, t1, t2)) + 1e-15 * t1
-
-    x, p = minimize_bounded(pointwise(perr, 1), [(0.0, 1.0), (0.0, 1.0)], 101, 1e-10, 1e-14)
+    x, p = minimize_bounded(lambda t: _qdre_perr(energy, t), [(0.0, 1.0), (0.0, 1.0)],
+                            101, 1e-10, 1e-14)
     return ReceiverResult(float(p), {"t1": float(x[0]), "t2": float(x[1])})
 
 
@@ -225,53 +234,41 @@ def _qdffre_survivals(energy, n_copies):
 def qdffre(energy, n_copies):
     """Quaternary displacement feed-forward receiver.
 
-    Returns (conditional 4x4 matrix p(j|k), p_err) from the exact
-    nested-sum evaluation of the four outcome families; the final
-    inconclusive cases are split uniformly among the still-open
-    hypotheses.  O(N^3), intended for N <= 128.
+    Returns (conditional 4x4 matrix p(j|k), p_err).  For symbol k let
+    x_j = p_{k-j} be the per-copy survival probability under the j-th
+    nulling hypothesis.  Each outcome family is then a complete
+    homogeneous symmetric polynomial h_d (Macdonald, Symmetric Functions
+    and Hall Polynomials, 1995):
+
+        p(0|k) = x_0^N
+        p(1|k) = (1-x_0) x_1 h_{N-2}(x_0, x_1) + tie1
+        p(2|k) = (1-x_0)(1-x_1) x_2 h_{N-3}(x_0, x_1, x_2) + tie2 + tie1
+        p(3|k) = (1-x_0)(1-x_1)(1-x_2) h_{N-3}(x_0, .., x_3) + tie2 + tie1
+
+    The final inconclusive cases, tie1 = x_0^{N-1} (1-x_0)/3 and tie2 =
+    (1-x_0)(1-x_1) h_{N-2}(x_0, x_1)/2, are split uniformly among the
+    still-open hypotheses.  The degrees come from the O(N) recursion
+    h_d(x_0..x_j) = h_d(x_0..x_{j-1}) + x_j h_{d-1}(x_0..x_j), one
+    cumulative sum over j per degree, batched over the four symbols.
+    Every term is positive, so nothing cancels.
     """
     if n_copies < 3:
         raise ValueError("the scheme needs at least three copies")
     n = n_copies
     p = _qdffre_survivals(energy, n)
-    cond = np.zeros((4, 4))
-    for k in range(4):
-        pk = p[k % 4]
-        pk1 = p[(k - 1) % 4]
-        pk2 = p[(k - 2) % 4]
-        pk3 = p[(k - 3) % 4]
-        cond[k, 0] = pk**n
-        s1 = sum(pk**t * (1.0 - pk) * pk1 ** (n - 1 - t) for t in range(n - 1))
-        tie1 = pk ** (n - 1) * (1.0 - pk) / 3.0
-        cond[k, 1] = s1 + tie1
-        s2 = 0.0
-        for t in range(n - 2):
-            for s in range(n - 2 - t):
-                s2 += (
-                    pk**t
-                    * (1.0 - pk)
-                    * pk1**s
-                    * (1.0 - pk1)
-                    * pk2 ** (n - 2 - t - s)
-                )
-        tie2 = sum(
-            pk**t * (1.0 - pk) * pk1 ** (n - 2 - t) * (1.0 - pk1) / 2.0
-            for t in range(n - 1)
-        )
-        cond[k, 2] = s2 + tie2 + tie1
-        s3 = 0.0
-        for t in range(n - 2):
-            for s in range(n - 2 - t):
-                for u in range(n - 2 - t - s):
-                    s3 += (
-                        pk**t
-                        * (1.0 - pk)
-                        * pk1**s
-                        * (1.0 - pk1)
-                        * pk2**u
-                        * (1.0 - pk2)
-                        * pk3 ** (n - 3 - t - s - u)
-                    )
-        cond[k, 3] = s3 + tie2 + tie1
+    x = np.stack([np.roll(p, j) for j in range(4)])  # x[j, k] = p_{k-j}
+    h = np.ones((4, 4))  # h[j, k] = h_d(x_0..x_j) of symbol k, from d = 0
+    for _ in range(n - 3):
+        h = np.cumsum(x * h, axis=0)
+    h2 = x[0] * h[0] + x[1] * h[1]  # h_{N-2}(x_0, x_1)
+    miss = np.cumprod(1.0 - x[:3], axis=0)  # (1-x_0), (1-x_0)(1-x_1), ...
+    tie1 = x[0] ** (n - 1) * (1.0 - x[0]) / 3.0
+    tie2 = miss[1] * h2 / 2.0
+    cond = np.stack([
+        x[0] ** n,
+        miss[0] * x[1] * h2 + tie1,
+        miss[1] * x[2] * h[2] + tie2 + tie1,
+        miss[2] * h[3] + tie2 + tie1,
+    ], axis=1)
     p_err = 1.0 - 0.25 * float(np.trace(cond))
     return cond, p_err

@@ -452,7 +452,7 @@ def _trusted_cm(alpha2, channel, scenario):
 
 
 def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
-                     alpha2=None, alpha2_box=(1e-3, 4.0)) -> KgrResult:
+                     alpha2=None) -> KgrResult:
     """QPSK key rate with trusted/untrusted detection losses and noise.
 
     The mutual information always uses the physical pipeline with total
@@ -470,7 +470,7 @@ def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
         cm = _trusted_cm(a2, channel, scenario)
         return mutual_info(a2), holevo_from_cm(cm[..., :2 * n_keep, :2 * n_keep])
 
-    return _rate_result(parts, beta, alpha2, alpha2_box, 25, 3e-6)
+    return _rate_result(parts, beta, alpha2, (1e-3, 4.0), 25, 3e-6)
 
 
 # ----------------------------------------------------------------------
@@ -711,8 +711,7 @@ def _wiretap_chi(alpha2, channel, n_nodes):
 
 
 def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
-                     alpha2=None, alpha2_box=(5e-2, 2.0),
-                     n_nodes=201) -> KgrResult:
+                     alpha2=None, n_nodes=201) -> KgrResult:
     """QPSK key rate when Eve holds exactly the channel environment.
 
     At eps = 0 Eve holds the reflected coherent states and S(E) is their
@@ -735,7 +734,7 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
         i_ab = psk_mutual_information(4, a2, channel)
         return i_ab, max(_wiretap_chi(a2, channel, n_nodes), 0.0)
 
-    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 9, 4e-3)
+    return _rate_result(pointwise(parts), beta, alpha2, (5e-2, 2.0), 9, 4e-3)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,11 @@ construction that shares no code with ``cvq.qkd``:
   Gaussian measurement, sigma_A - C (sigma_B + diag(z, 1/z))^-1 C^T;
 * Eve's conditional entropies in the thermal wiretap model from two-mode
   Fock matrices (``cvq.gaussian``'s Fock expansion) and a dense
-  ``numpy`` eigvalsh, the construction the Gram kernel replaced.
+  ``numpy`` eigvalsh, the construction the Gram kernel replaced;
+* the QPSK displacement feed-forward receiver's outcome families as
+  nested sums over click positions, in floats or in exact fractions;
+* the QPSK displacement receiver's error at one (t1, t2) point from
+  scalar ``math.exp``.
 
 Shot-noise units, V = 1 + 2 nbar, reverse reconciliation, and excess
 noise referred to the channel input (chi = (1 - T)/T + eps), as in the
@@ -251,3 +255,60 @@ def finite_z_homodyne(cm, measured_mode, quad, z):
     sigma_m = np.diag([z, 1.0 / z] if quad == 0 else [1.0 / z, z])
     c = cm[np.ix_(ia, ib)]
     return cm[np.ix_(ia, ia)] - c @ np.linalg.solve(cm[np.ix_(ib, ib)] + sigma_m, c.T)
+
+
+def qdffre_loops(p, n):
+    """p(j|k) of the QDFFRE by nested sums over the click positions, O(N^3).
+
+    ``p`` holds the per-copy survival probabilities p_0..p_3; each
+    summand is one sequence of nulls before the clicks that rule out
+    hypotheses k, k-1, k-2.  Float entries give the former package
+    evaluation; ``Fraction`` entries give the sums exactly.  Returns a
+    4 x 4 nested list.
+    """
+    cond = [[0.0] * 4 for _ in range(4)]
+    for k in range(4):
+        pk, pk1, pk2, pk3 = (p[(k - j) % 4] for j in range(4))
+        cond[k][0] = pk**n
+        s1 = sum(pk**t * (1 - pk) * pk1 ** (n - 1 - t) for t in range(n - 1))
+        tie1 = pk ** (n - 1) * (1 - pk) / 3
+        cond[k][1] = s1 + tie1
+        s2 = 0
+        for t in range(n - 2):
+            for s in range(n - 2 - t):
+                s2 += pk**t * (1 - pk) * pk1**s * (1 - pk1) * pk2 ** (n - 2 - t - s)
+        tie2 = sum(
+            pk**t * (1 - pk) * pk1 ** (n - 2 - t) * (1 - pk1) / 2 for t in range(n - 1)
+        )
+        cond[k][2] = s2 + tie2 + tie1
+        s3 = 0
+        for t in range(n - 2):
+            for s in range(n - 2 - t):
+                for u in range(n - 2 - t - s):
+                    s3 += (pk**t * (1 - pk) * pk1**s * (1 - pk1) * pk2**u * (1 - pk2)
+                           * pk3 ** (n - 3 - t - s - u))
+        cond[k][3] = s3 + tie2 + tie1
+    return cond
+
+
+def qdre_perr_scalar(energy, t1, t2):
+    """QDRE error at one (t1, t2), clamped and tilted as the package does.
+
+    Branch energy fractions t1 (null 0), (1 - t1)(1 - t2) (null 2) and
+    (1 - t1) t2 (null 1); the symbol k is nulled by branch j with
+    survival exp(-b |alpha_k - alpha_j|^2).
+    """
+    t1 = min(max(t1, 1e-9), 1.0 - 1e-9)
+    t2 = min(max(t2, 1e-9), 1.0 - 1e-9)
+    b1, b2, b3 = t1, (1.0 - t1) * (1.0 - t2), (1.0 - t1) * t2
+
+    def d2(k, j):
+        return 2.0 * energy * (1.0 - math.cos((k - j) * math.pi / 2.0))
+
+    p00 = math.exp(-b1 * d2(0, 0))
+    p11 = ((1.0 - math.exp(-b1 * d2(1, 0))) * (1.0 - math.exp(-b2 * d2(1, 2)))
+           * math.exp(-b3 * d2(1, 1)))
+    p22 = (1.0 - math.exp(-b1 * d2(2, 0))) * math.exp(-b2 * d2(2, 2))
+    p33 = ((1.0 - math.exp(-b1 * d2(3, 0))) * (1.0 - math.exp(-b2 * d2(3, 2)))
+           * (1.0 - math.exp(-b3 * d2(3, 1))))
+    return 1.0 - 0.25 * (p00 + p11 + p22 + p33) + 1e-15 * t1

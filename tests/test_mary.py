@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +206,65 @@ class TestQdffre:
         with pytest.raises(ValueError):
             mary.qdffre(1.0, 2)
 
+
+
+def _exact_qdffre(energy, n):
+    """p(j|k) in exact fractions of the float survival probabilities."""
+    return oracles.qdffre_loops([Fraction(x) for x in mary._qdffre_survivals(energy, n)], n)
+
+
+class TestQdffreRecursion:
+    @pytest.mark.parametrize("n", [3, 4, 16, 64])
+    @pytest.mark.parametrize("energy", [0.05, 1.0, 6.0])
+    def test_matches_nested_loops(self, n, energy):
+        cond, _ = mary.qdffre(energy, n)
+        loops = np.array(oracles.qdffre_loops(mary._qdffre_survivals(energy, n), n))
+        assert np.all(np.abs(cond - loops) <= 1e-12 * np.abs(loops))
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize("energy", [0.05, 1.0, 6.0])
+    def test_every_entry_matches_exact_sums(self, n, energy):
+        cond, _ = mary.qdffre(energy, n)
+        exact = _exact_qdffre(energy, n)
+        for k in range(4):
+            for j in range(4):
+                err = abs(Fraction(cond[k, j]) - exact[k][j])
+                assert err <= Fraction(1, 10**15) * exact[k][j], (k, j)
+
+    def test_error_probability_matches_exact_sums(self):
+        exact = _exact_qdffre(6.0, 32)
+        p_exact = 1 - sum(exact[k][k] for k in range(4)) / 4
+        _, p_err = mary.qdffre(6.0, 32)
+        assert abs(Fraction(p_err) - p_exact) <= Fraction(1, 10**11) * p_exact
+
+    def test_thousand_copies(self):
+        start = time.perf_counter()
+        cond, p1024 = mary.qdffre(3.0, 1024)
+        elapsed = time.perf_counter() - start
+        assert np.all(np.abs(cond.sum(axis=1) - 1.0) < 1e-12)
+        assert isinstance(p1024, float)
+        b1 = mary.bondurant(3.0, "I")
+        _, p128 = mary.qdffre(3.0, 128)
+        assert abs(p1024 / b1 - 1) < abs(p128 / b1 - 1)
+        assert elapsed < 0.5  # O(N): a few ms; the nested sums took minutes
+
+
+class TestQdreObjective:
+    @pytest.mark.parametrize("energy", [0.0, 0.05, 1.0, 6.0])
+    def test_grid_matches_scalar_oracle(self, energy):
+        axis = np.linspace(0.0, 1.0, 101)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        vals = mary._qdre_perr(energy, pts)
+        expect = np.array([oracles.qdre_perr_scalar(energy, a, b) for a, b in pts])
+        assert vals.shape == (len(pts),)
+        assert np.max(np.abs(vals - expect)) <= 1e-15
+
+    def test_one_point_and_equal_mode_types(self):
+        v = mary._qdre_perr(1.3, np.array([0.4, 0.3]))
+        assert np.ndim(v) == 0
+        assert abs(float(v) - oracles.qdre_perr_scalar(1.3, 0.4, 0.3)) <= 1e-15
+        assert isinstance(mary.qdre(1.3).p_err, float)
+        assert isinstance(mary.qdre(1.3, "optimized").p_err, float)
 
 class TestReceiverOrdering:
     def test_pgm_below_everything(self):
