@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian as gs
-from .numerics import golden_min, matrix_stack, maximize_scalar, minimize_bounded, pointwise
-from .qkd import ChannelParams, KgrResult, _two_mode_cm, holevo_from_cm
+from .numerics import golden_min, matrix_stack, pointwise
+from .qkd import ChannelParams, KgrResult, _rate_result, _two_mode_cm, holevo_from_cm
 
 __all__ = [
     "SpanLink",
@@ -191,56 +191,53 @@ def multispan_kgr_unconditional(link: SpanLink, beta, case="IIb",
         cm = span_link_cm(lk, vv)
         return gs.gaussian_mutual_information(cm, quad), holevo_from_cm(cm, quad=quad)
 
-    v, gain = _optimize_v_gain(parts, link, beta, v, gain)
-    i_ab, chi_be = parts(v, gain)
-    return KgrResult(
-        beta * i_ab - chi_be, i_ab, chi_be, beta,
-        params={"V": float(v), "G": float(gain), "case": case},
-    )
+    return _optimize_v_gain(parts, link, beta, v, gain, case=case)
 
 
-def _optimize_v_gain(parts, link, beta, v, gain):
-    """Constrained (V, G) maximization shared by the multi-span cases.
+V_BOX = (math.log(0.02), math.log(150.0))  # log(V - 1) box of the multi-span searches
 
-    The gain axis is parametrized as a fraction of the admissible
-    interval [1, max(G_cap(V), 1)]; pinning ``gain`` reduces to a 1-D
-    search over the modulation.  That search's +-0.35 log-V bracket can
-    carry it past V - 1 = 150, where the 2-D search stops, so the G = 1
-    fallback may compare an out-of-box point against an in-box optimum.
-    ``parts`` broadcasts over arrays of V and G, so that each seeding
-    grid is one call.
+
+def _bracket_search(f, box, n_grid, tol):
+    """Maximize ``f`` by its best of ``n_grid`` points on ``box``, then a
+    golden search over +-0.35 around that point, which may leave the box.
+    """
+    grid = np.linspace(*box, n_grid)
+    u0 = grid[np.argmax(f(grid))]
+    u, neg_f = golden_min(lambda u: -f(u), u0 - 0.35, u0 + 0.35, tol=tol)
+    return u, -neg_f
+
+
+def _optimize_v_gain(parts, link, beta, v, gain, **params):
+    """Constrained (V, G) key rate shared by the multi-span cases.
+
+    The 2-D search runs in log(V - 1) and the gain as a fraction of the
+    admissible interval [1, max(G_cap(V), 1)].  A pinned ``gain`` leaves
+    a search in log(V - 1) by ``_bracket_search``, whose +-0.35 bracket
+    can carry it past V - 1 = 150, where the 2-D search stops.  A
+    searched result is compared with the unamplified line G = 1, which
+    is always feasible, keeps the better one, and reports the G = 1 key
+    rate as ``params["K_G1"]``; that comparison may set an out-of-box
+    point against an in-box optimum.  ``parts`` broadcasts over arrays
+    of V and G, so that each seeding grid is one call.
     """
     exp = pointwise(math.exp)
-
-    def admissible_gain(vv, frac):
-        return 1.0 + (np.maximum(gain_cap(link, vv), 1.0) - 1.0) * frac
-
-    def neg_k(vv, gg):
-        i_ab, chi_be = parts(vv, gg)
-        return -(beta * i_ab - chi_be)
-
-    def neg_k_box(x):
-        vv = 1.0 + exp(x[..., 0])
-        return neg_k(vv, admissible_gain(vv, x[..., 1]))
-
-    v_box = (math.log(0.02), math.log(150.0))
-    if v is not None and gain is not None:
-        return v, gain
+    knobs = {"V": v, "G": gain}
+    if gain is None and v is not None:
+        raise ValueError("V is pinned only together with the gain")
     if gain is not None:
-        grid = np.linspace(*v_box, 41)
-        u0 = grid[np.argmin(neg_k(1.0 + exp(grid), gain))]
-        u_opt, _ = golden_min(
-            lambda u: neg_k(1.0 + math.exp(u), gain), u0 - 0.35, u0 + 0.35, tol=1e-7
-        )
-        return 1.0 + math.exp(u_opt), gain
-    x, f2 = minimize_bounded(neg_k_box, [v_box, (0.0, 1.0)], 15, 1e-7, 1e-12)
-    v = 1.0 + math.exp(x[0])
-    gain = admissible_gain(v, float(x[1]))
-    # the unamplified line G = 1 is always feasible; never fall below it
-    v1, _ = _optimize_v_gain(parts, link, beta, None, 1.0)
-    if -neg_k(v1, 1.0) > -f2:
-        return v1, 1.0
-    return v, gain
+        return _rate_result(parts, beta, knobs, V_BOX, 41, 1e-7,
+                            lambda u: (1.0 + exp(u), gain), _bracket_search, **params)
+
+    def coords(x):
+        vv = 1.0 + exp(x[..., 0])
+        return vv, 1.0 + (np.maximum(gain_cap(link, vv), 1.0) - 1.0) * x[..., 1]
+
+    best = _rate_result(parts, beta, knobs, [V_BOX, (0.0, 1.0)], 15, (1e-7, 1e-12),
+                        coords, **params)
+    unamplified = _optimize_v_gain(parts, link, beta, None, 1.0, **params)
+    best = max(best, unamplified, key=lambda r: r.K)
+    best.params["K_G1"] = unamplified.K
+    return best
 
 
 def _conditional_cms(link: SpanLink, v, k_span):
@@ -291,12 +288,7 @@ def multispan_kgr_conditional(link: SpanLink, beta, k_span, case=None,
         chi_be = gs.entropy_cm(joint[..., 4:, 4:]) - gs.entropy_cm(cm_e_cond)
         return i_ab, chi_be
 
-    v, gain = _optimize_v_gain(parts, link, beta, v, gain)
-    i_ab, chi_be = parts(v, gain)
-    return KgrResult(
-        beta * i_ab - chi_be, i_ab, chi_be, beta,
-        params={"V": float(v), "G": float(gain), "k": k_span, "case": case},
-    )
+    return _optimize_v_gain(parts, link, beta, v, gain, k=k_span, case=case)
 
 
 def plob(t, nbar_t=0.0):
@@ -433,6 +425,10 @@ def _charfn_cm(terms):
     return p0, sigma
 
 
+class TauRangeError(ValueError):
+    """A QS/SPC gain whose beam-splitter transmissivity is out of range."""
+
+
 @dataclass(frozen=True)
 class NlaSpec:
     """Physical NLA: scheme, target gain, conditional detector efficiency."""
@@ -494,9 +490,9 @@ def physical_nla_cm(kind, v, t, eps, g, eta=1.0):
     spec = NlaSpec(kind, g, eta)
     tau = spec.tau
     if kind == "QS" and not 0.0 < tau <= 0.5:
-        raise ValueError("QS transmissivity out of range")
+        raise TauRangeError("QS transmissivity out of range")
     if kind == "SPC" and not 0.0 < tau <= 0.25:
-        raise ValueError("SPC transmissivity out of range")
+        raise TauRangeError("SPC transmissivity out of range")
     cm_ab = _two_mode_cm(v, t, (1.0 - t) / t + eps, math.sqrt(v * v - 1.0))
     off_coeff = (2.0 - eta) / eta
     if kind == "QS":
@@ -532,63 +528,45 @@ def nla_kgr(kind, channel: ChannelParams, beta, gain=None, eta=1.0,
             v=None) -> KgrResult:
     """Key rate of NLA-assisted GG02: K = P_succ (beta I_G - chi_G).
 
-    ``gain=None`` optimizes the gain jointly with the modulation;
-    otherwise the gain is fixed.  Ideal runs use the benchmark success
-    probability 1/g^2 and return K = 0 with an ``invalid`` marker when
-    the (V, g) region is unphysical at this distance.
+    ``gain=None`` optimizes the gain jointly with the modulation, over
+    log(V - 1) and log g; otherwise the gain is fixed and V - 1 is
+    searched.  Ideal runs use the benchmark success probability 1/g^2.
+    An unphysical (V, g) point (outside the ideal NLA's normalizability
+    bound, a QS/SPC transmissivity out of range, a divergent Gaussian
+    integral, P_succ <= 0 or an unphysical CM) scores K = -1 in the
+    search, and a result there has K = 0 and ``params["invalid"]`` True.
+    An unknown ``kind`` or a bad ``eta`` raises ValueError.
     """
+    NlaSpec(kind, 1.0, eta)  # validates kind and eta before the search
     t, eps = channel.T, channel.eps
+    unphysical = (math.nan,) * 3
 
+    @pointwise
     def parts(vv, gg):
         if kind == "ideal":
             eff = ideal_nla_effective(vv, t, eps, gg)
             if not eff["valid"]:
-                return None
+                return unphysical
             ve, te, ee = eff["V_id"], eff["T_id"], eff["eps_id"]
             cm = _two_mode_cm(ve, te, (1.0 - te) / te + ee, math.sqrt(ve * ve - 1.0))
             p_succ = 1.0 / gg**2
         else:
             try:
                 cm, p_succ = physical_nla_cm(kind, vv, t, eps, gg, eta)
-            except (ValueError, FloatingPointError):
-                return None
-            if p_succ <= 0.0:
-                return None
-            nus = gs.symplectic_eigenvalues(cm)
-            if np.min(nus) < 1.0 - 1e-6:
-                return None
+            except (TauRangeError, FloatingPointError):
+                return unphysical
+            if p_succ <= 0.0 or np.min(gs.symplectic_eigenvalues(cm)) < 1.0 - 1e-6:
+                return unphysical
         return gs.gaussian_mutual_information(cm), holevo_from_cm(cm), p_succ
 
-    def key_rate(vv, gg):
-        res = parts(vv, gg)
-        if res is None:
-            return -1.0
-        i_ab, chi_be, p_succ = res
-        return p_succ * (beta * i_ab - chi_be)
-
+    knobs = {"V": v, "g": gain}
+    if gain is None and v is not None:
+        raise ValueError("V is pinned only together with the gain")
+    if gain is not None:
+        return _rate_result(parts, beta, knobs, (0.02, 40.0), 41, 1e-7,
+                            lambda w: (1.0 + w, gain))
+    exp = pointwise(math.exp)
     g_hi = 2.0 + 4.0 / math.sqrt(t)
-    if gain is None and v is None:
-        box = [(math.log(0.02), math.log(40.0)), (0.0, math.log(g_hi))]
-        x, _ = minimize_bounded(
-            pointwise(lambda u: -key_rate(1.0 + math.exp(u[0]), math.exp(u[1])), 1),
-            box, 17, 1e-6, 1e-12,
-        )
-        v = 1.0 + math.exp(x[0])
-        gain = math.exp(x[1])
-    elif v is None:
-        w_opt, _ = maximize_scalar(
-            pointwise(lambda w: key_rate(1.0 + w, gain)), (0.02, 40.0), 41, 1e-7
-        )
-        v = 1.0 + w_opt
-    res = parts(v, gain)
-    if res is None:
-        return KgrResult(
-            0.0, 0.0, 0.0, beta, p_success=0.0,
-            params={"V": v, "g": gain, "invalid": True},
-        )
-    i_ab, chi_be, p_succ = res
-    k = p_succ * (beta * i_ab - chi_be)
-    return KgrResult(
-        k, i_ab, chi_be, beta, p_success=p_succ,
-        params={"V": float(v), "g": float(gain), "invalid": False},
-    )
+    box = [(math.log(0.02), math.log(40.0)), (0.0, math.log(g_hi))]
+    return _rate_result(parts, beta, knobs, box, 17, (1e-6, 1e-12),
+                        lambda u: (1.0 + exp(u[..., 0]), exp(u[..., 1])))

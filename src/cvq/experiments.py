@@ -260,8 +260,7 @@ def multispan_unc_exp(profile, params):
         lk = amp.SpanLink(m_spans, d, eps, kind="psa")
         rb = amp.multispan_kgr_unconditional(lk, beta, case="IIb")
         ra = amp.multispan_kgr_unconditional(lk, beta, case="IIa")
-        r0 = amp.multispan_kgr_unconditional(lk, beta, case="IIa", gain=1.0)
-        return rb.K, rb.params["G"], ra.params["G"], r0.K
+        return rb.K, rb.params["G"], ra.params["G"], ra.params["K_G1"]
 
     rows = np.array([row(d) for d in ds])
     return {
@@ -287,8 +286,8 @@ def multispan_cond_exp(profile, params):
         for kind, case in (("pia", "I"), ("psa", "IIa"), ("psa", "IIb")):
             lk = amp.SpanLink(m_spans, d, eps, kind=kind)
             rc = amp.multispan_kgr_conditional(lk, beta, int(k), case=case)
-            rb = amp.multispan_kgr_conditional(lk, beta, int(k), case=case, gain=1.0)
-            out.append(rc.K / rb.K if rb.K > 0 else math.nan)
+            k_g1 = rc.params["K_G1"]
+            out.append(rc.K / k_g1 if k_g1 > 0 else math.nan)
         return out
 
     rows = np.array([row(k) for k in ks])

@@ -76,6 +76,15 @@ def _rates_from_cond(cond, alpha2, t, beta):
     return beta * i_ab - chi, i_ab, chi
 
 
+def _receiver_parts(cond_of, t, beta):
+    """The rate frame's (I_AB, chi_BE) of a receiver with p(j|k) = ``cond_of(alpha2)``."""
+    def parts(a2):
+        _, i_ab, chi = _rates_from_cond(cond_of(a2), a2, t, beta)
+        return float(i_ab), float(chi)
+
+    return pointwise(parts)
+
+
 def _cond_probs_batch(alpha2, t, phases):
     """p(j|k) of GUS receivers, batched over phase vectors (n, 4)."""
     phases = np.atleast_2d(phases)
@@ -106,18 +115,18 @@ def optimize_kor(t, beta, mode="KOR", lattice=16) -> KgrResult:
     """Maximize the key rate over the receiver phases and pulse energy.
 
     mode='PGM' pins the phases to zero and tunes only the energy;
-    mode='KOR' seeds a Nelder-Mead polish from a ``lattice``^3 grid of
-    phase tuples at the PGM-optimal energy (ties resolved toward the
-    all-zero phases, which reproduce the PGM).
+    mode='KOR' seeds a Nelder-Mead polish of the phases and the energy
+    from a ``lattice``^3 grid of phase tuples at the PGM-optimal energy
+    (ties resolved toward the all-zero phases, which reproduce the PGM),
+    and hands the polished point to the rate frame as pinned knobs.
     """
-    def pgm_parts(a2):
-        cond = _cond_probs_batch(a2, t, np.zeros((1, 4)))[0]
-        _, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
-        return float(i_ab), float(chi)
+    def parts(phases):
+        return _receiver_parts(lambda a2: _cond_probs_batch(a2, t, phases[None, :])[0],
+                               t, beta)
 
     if mode not in ("KOR", "PGM"):
         raise ValueError("mode must be 'KOR' or 'PGM'")
-    pgm = _rate_result(pointwise(pgm_parts), beta, None, ALPHA2_BOX, 31, 1e-7,
+    pgm = _rate_result(parts(np.zeros(4)), beta, {"alpha2": None}, ALPHA2_BOX, 31, 1e-7,
                        phases=np.zeros(4))
     if mode == "PGM":
         return pgm
@@ -147,11 +156,7 @@ def optimize_kor(t, beta, mode="KOR", lattice=16) -> KgrResult:
         x = np.array([0.0, 0.0, 0.0, a_pgm])  # tie toward the PGM
     phases = np.mod(np.concatenate([[0.0], x[:3]]), 2.0 * np.pi)
     a_opt = float(min(max(x[3], ALPHA2_BOX[0]), ALPHA2_BOX[1]))
-    out = kor_rate(a_opt, phases, t, beta)
-    return KgrResult(
-        out["K"], out["I_AB"], out["chi_BE"], beta,
-        params={"alpha2": a_opt, "phases": phases},
-    )
+    return _rate_result(parts(phases), beta, {"alpha2": a_opt}, phases=phases)
 
 
 def dh_rate(t, beta, alpha2=None, n_nodes=101) -> KgrResult:
@@ -172,18 +177,13 @@ def dh_rate(t, beta, alpha2=None, n_nodes=101) -> KgrResult:
         i_ab = h_b - math.log2(2.0 * math.pi * math.e * var)
         return i_ab, max(_outcome_chi(gram, s_e, means, var, n_nodes), 0.0)
 
-    return _rate_result(pointwise(parts), beta, alpha2, ALPHA2_BOX, 17, 2e-5)
+    return _rate_result(pointwise(parts), beta, {"alpha2": alpha2}, ALPHA2_BOX, 17, 2e-5)
 
 
 def qdffre_rate(t, beta, n_copies, alpha2=None) -> KgrResult:
     """Key rate when Bob runs the displacement feed-forward receiver."""
-
-    def parts(a2):
-        cond, _ = mary.qdffre(t * a2, n_copies)
-        _, i_ab, chi = _rates_from_cond(cond, a2, t, beta)
-        return float(i_ab), float(chi)
-
-    return _rate_result(pointwise(parts), beta, alpha2, ALPHA2_BOX, 17, 2e-5, N=n_copies)
+    parts = _receiver_parts(lambda a2: mary.qdffre(t * a2, n_copies)[0], t, beta)
+    return _rate_result(parts, beta, {"alpha2": alpha2}, ALPHA2_BOX, 17, 2e-5, N=n_copies)
 
 
 def phase_orbit(phases):

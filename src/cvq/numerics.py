@@ -29,22 +29,25 @@ NM_MAX_ITER = 2000  # Nelder-Mead iteration cap of minimize_bounded
 
 
 def pointwise(f, ndim=0):
-    """Lift ``f`` of one point to stacks of points, point by point.
+    """Lift ``f`` of points to stacks of points, point by point.
 
     A point is an array of ``ndim`` axes (0: a scalar), a stack an
-    ndarray with more.  The lifted function calls ``f(x)`` unchanged on
-    one point; on a stack it calls ``f`` on each point in C order and
-    stacks the results along the leading axes, and a tuple result
-    becomes a tuple of stacked arrays.  Elementary functions lifted this
-    way keep their scalar rounding: ``math.exp`` and NumPy's array
-    ``exp`` differ in the last bit on a few percent of inputs.
+    ndarray with more.  The lifted function calls ``f`` unchanged when
+    every argument is one point; otherwise the arguments' leading axes
+    broadcast, ``f`` is called on each point in C order, and the
+    results are stacked along those axes (a tuple result becomes a tuple
+    of stacked arrays).  Elementary functions lifted this way keep their
+    scalar rounding: ``math.exp`` and NumPy's array ``exp`` differ in
+    the last bit on a few percent of inputs.
     """
-    def lifted(x):
-        if getattr(x, "ndim", 0) == ndim:
-            return f(x)
-        x = np.asarray(x)
-        lead = x.shape[:x.ndim - ndim]
-        vals = [f(p) for p in x.reshape((-1,) + x.shape[x.ndim - ndim:])]
+    def lifted(*xs):
+        if all(getattr(x, "ndim", 0) == ndim for x in xs):
+            return f(*xs)
+        xs = [np.asarray(x) for x in xs]
+        lead = np.broadcast_shapes(*(x.shape[:x.ndim - ndim] for x in xs))
+        cols = [np.broadcast_to(x, lead + x.shape[x.ndim - ndim:])
+                .reshape((-1,) + x.shape[x.ndim - ndim:]) for x in xs]
+        vals = [f(*p) for p in zip(*cols)]
         if isinstance(vals[0], tuple):
             return tuple(np.array(v).reshape(lead) for v in zip(*vals))
         vals = np.array(vals)

@@ -144,26 +144,52 @@ def holevo_from_cm(cm, measured_mode=1, quad=0):
     return s_all - gs.entropy_cm(gs.condition_on_measurement(cm, measured_mode, quad))
 
 
-def _rate_result(parts, beta, x, box, n_grid, tol, name="alpha2", **params):
-    """Devetak-Winter rate K = beta I_AB - chi_BE at one modulation knob.
+def _rate_result(parts, beta, knobs, box=None, n_grid=None, tol=None, coords=None,
+                 search=None, **params):
+    """The Devetak-Winter rate K = P_succ (beta I_AB - chi_BE) at its best knobs.
 
-    ``parts(x)`` returns (I_AB, chi_BE), and two arrays for an array of
-    knob values.  An ``x`` of None is chosen by one ``maximize_scalar``
-    search of K on ``box``, whose grid is one call of ``parts``; ``parts``
-    is then evaluated once at ``x``, so a pinned knob reproduces the
-    searched K.
-    ``params`` joins ``{name: x}`` in the result.
+    Every key rate is built here.  ``knobs`` maps each physical knob's
+    name to its value, or to None where it is searched; a pinned call
+    (no None) evaluates ``parts`` once on the values as given.
+    ``parts(*values)`` returns (I_AB, chi_BE) or (I_AB, chi_BE, P_succ),
+    arrays for arrays of knob values.  A NaN P_succ marks an unphysical
+    point: it scores K = -1 in the search, and a result there has
+    K = I_AB = chi_BE = P_succ = 0 and ``params["invalid"]`` True.
+
+    The search runs in coordinates u that ``coords(u)`` maps to the knob
+    values (by default u is the one knob).  One interval ``box`` goes to
+    ``maximize_scalar(K, box, n_grid, tol)``, or to ``search`` of the
+    same signature; a list of intervals goes to
+    ``minimize_bounded(-K, box, n_grid, *tol)``, tol = (xtol, ftol).
+    ``parts`` is then evaluated once at the chosen knobs, so pinning the
+    reported knobs reproduces the searched result.  ``params`` joins the
+    knobs in the result.  beta outside (0, 1], NaN included, raises
+    ValueError before any evaluation.
     """
-    def key_rate(y):
-        i_ab, chi_be = parts(y)
-        return beta * i_ab - chi_be
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    values = tuple(knobs.values())
+    if any(x is None for x in values):
+        coords = coords or (lambda u: (u,))
 
-    if x is None:
-        x, _ = maximize_scalar(key_rate, box, n_grid, tol)
-    i_ab, chi_be = parts(x)
-    return KgrResult(
-        beta * i_ab - chi_be, i_ab, chi_be, beta, params={name: float(x), **params}
-    )
+        def key_rate(u):
+            i_ab, chi_be, *p_succ = parts(*coords(u))
+            k = beta * i_ab - chi_be
+            return np.where(np.isnan(p_succ[0]), -1.0, p_succ[0] * k) if p_succ else k
+
+        if np.ndim(box) == 1:
+            u, _ = (search or maximize_scalar)(key_rate, box, n_grid, tol)
+        else:
+            u, _ = minimize_bounded(lambda u: -key_rate(u), box, n_grid, *tol)
+        values = coords(u)
+    out = parts(*values)
+    i_ab, chi_be, p_succ = (*out, 1.0)[:3]
+    params = {**{name: float(x) for name, x in zip(knobs, values)}, **params}
+    if len(out) == 3:
+        params["invalid"] = bool(np.isnan(p_succ))
+        if params["invalid"]:
+            i_ab = chi_be = p_succ = 0.0
+    return KgrResult(p_succ * (beta * i_ab - chi_be), i_ab, chi_be, beta, p_succ, params)
 
 
 def gg02_kgr(channel: ChannelParams, beta, v=None) -> KgrResult:
@@ -173,8 +199,6 @@ def gg02_kgr(channel: ChannelParams, beta, v=None) -> KgrResult:
     Eve's Holevo information from the joint covariance matrix under the
     purification (entangling-cloner) attack.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("reconciliation efficiency must lie in (0, 1]")
     t, eps, chi = channel.T, channel.eps, channel.chi
     log2 = pointwise(math.log2)
 
@@ -183,7 +207,7 @@ def gg02_kgr(channel: ChannelParams, beta, v=None) -> KgrResult:
         cm = _two_mode_cm(vv, t, chi, np.sqrt(vv * vv - 1.0))
         return i_ab, holevo_from_cm(cm)
 
-    return _rate_result(parts, beta, v, (1.01, 250.0), 41, 1e-7, name="V")
+    return _rate_result(parts, beta, {"V": v}, (1.01, 250.0), 41, 1e-7)
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +318,7 @@ def psk_kgr(m, channel: ChannelParams, beta, alpha2=None,
         chi_be = holevo_from_cm(cm)
         return i_ab, chi_be
 
-    return _rate_result(pointwise(parts), beta, alpha2, alpha2_box, 25, 3e-6)
+    return _rate_result(pointwise(parts), beta, {"alpha2": alpha2}, alpha2_box, 25, 3e-6)
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +409,8 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
     t, eps, chi = channel.T, channel.eps, channel.chi
     var = 1.0 + t * eps
 
-    def parts(dl, x, nb):
+    @pointwise
+    def parts(nb, x, dl):
         z, w1, xs = _qam_rho_z(m_side, dl, x)
         means = 2.0 * math.sqrt(t) * xs
         h_b = _mixture_hb(means, w1, var)
@@ -393,35 +418,23 @@ def qam_kgr(m_side, channel: ChannelParams, beta, sampling="MB",
         chi_be = holevo_from_cm(_two_mode_cm(1.0 + 2.0 * nb, t, chi, z))
         return i_ab, chi_be
 
-    def result(dl, x, nb):
-        i_ab, chi_be = parts(dl, x, nb)
-        return KgrResult(
-            beta * i_ab - chi_be, i_ab, chi_be, beta,
-            params={"nbar": float(nb), "xi": float(x), "delta": float(dl)},
-        )
-
     if nbar is not None:
-        return result(_qam_delta(m_side, nbar, xi), xi, nbar)
-
+        knobs = {"nbar": nbar, "xi": xi, "delta": _qam_delta(m_side, nbar, xi)}
+        return _rate_result(parts, beta, knobs)
+    knobs = {"nbar": None, "xi": xi, "delta": None}
     if sampling == "uniform":
-        def key_rate(nb):
-            i_ab, chi_be = parts(_qam_delta(m_side, nb, 0.0), 0.0, nb)
-            return beta * i_ab - chi_be
+        delta = pointwise(lambda nb: _qam_delta(m_side, nb, 0.0))
+        return _rate_result(parts, beta, knobs, (0.05, 20.0), 21, 1e-4,
+                            lambda nb: (nb, 0.0, delta(nb)))
 
-        nb, _ = maximize_scalar(pointwise(key_rate), (0.05, 20.0), 21, 1e-4)
-        return result(_qam_delta(m_side, nb, 0.0), 0.0, nb)
-
-    def neg_k2(v):
-        dl, x = math.exp(v[0]), float(v[1])
-        i_ab, chi_be = parts(dl, x, _qam_energy(m_side, dl, x))
-        return -(beta * i_ab - chi_be)
+    def coords(u):
+        dl, x = math.exp(u[0]), float(u[1])
+        return _qam_energy(m_side, dl, x), x, dl
 
     # delta_lo: the uniform grid's spacing at nbar = 0.05
     delta_lo = math.sqrt(0.3 / (m_side**2 - 1.0))
     box = [(math.log(delta_lo), math.log(_qam_delta_max(m_side))), (0.0, 3.0)]
-    v_opt, _ = minimize_bounded(pointwise(neg_k2, 1), box, 21, 1e-5, 1e-10)
-    dl, x = math.exp(v_opt[0]), float(v_opt[1])
-    return result(dl, x, _qam_energy(m_side, dl, x))
+    return _rate_result(parts, beta, knobs, box, 21, (1e-5, 1e-10), pointwise(coords, 1))
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +483,7 @@ def trusted_qpsk_kgr(channel: ChannelParams, beta, scenario: TrustScenario,
         cm = _trusted_cm(a2, channel, scenario)
         return mutual_info(a2), holevo_from_cm(cm[..., :2 * n_keep, :2 * n_keep])
 
-    return _rate_result(parts, beta, alpha2, (1e-3, 4.0), 25, 3e-6)
+    return _rate_result(parts, beta, {"alpha2": alpha2}, (1e-3, 4.0), 25, 3e-6)
 
 
 # ----------------------------------------------------------------------
@@ -734,7 +747,7 @@ def wiretap_qpsk_kgr(channel: ChannelParams, beta, loss_model="thermal",
         i_ab = psk_mutual_information(4, a2, channel)
         return i_ab, max(_wiretap_chi(a2, channel, n_nodes), 0.0)
 
-    return _rate_result(pointwise(parts), beta, alpha2, (5e-2, 2.0), 9, 4e-3)
+    return _rate_result(pointwise(parts), beta, {"alpha2": alpha2}, (5e-2, 2.0), 9, 4e-3)
 
 
 # ----------------------------------------------------------------------

@@ -357,3 +357,25 @@ class TestNlaKgr:
         cap, _ = amp.plob(ch.T, ch.nbar_T)
         for kind in ("ideal", "QS", "SPC"):
             assert amp.nla_kgr(kind, ch, BETA).K <= cap
+
+    @pytest.mark.parametrize("kind", ["bogus", "qs"])
+    def test_unknown_kind_raises_by_name(self, kind):
+        # a typo must not look like an unphysical region (K = 0, invalid)
+        with pytest.raises(ValueError, match="kind"):
+            amp.nla_kgr(kind, qkd.ChannelParams.from_distance(100.0, 0.03), BETA)
+
+    def test_out_of_range_pinned_gain_is_invalid_region(self):
+        # g < 1 puts the QS beam splitter above tau = 1/2: a region, not an error
+        r = amp.nla_kgr("QS", qkd.ChannelParams.from_distance(100.0, 0.03), BETA,
+                        gain=0.5, v=4.0)
+        assert r.params["invalid"]
+        assert (r.K, r.I_AB, r.chi_BE, r.p_success) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("rate", [
+        lambda: amp.nla_kgr("QS", qkd.ChannelParams.from_distance(100.0, 0.03), BETA, v=4.0),
+        lambda: amp.multispan_kgr_unconditional(amp.SpanLink(3, 60.0, 0.05), BETA, v=4.0),
+    ], ids=["nla", "multispan"])
+    def test_v_pinned_without_gain_raises(self, rate):
+        # the searched gain's coordinates would otherwise drop the pinned V
+        with pytest.raises(ValueError, match="gain"):
+            rate()

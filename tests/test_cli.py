@@ -149,3 +149,29 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestRowsIndependentOfSweep:
+    """A fast row depends only on its own distance, not on the sweep around it.
+
+    The rate-frame sweeps are run over two distances and over the first of
+    them alone; the first data rows must match byte for byte.
+    """
+
+    @staticmethod
+    def _first_row(tmp_path, eid, d_min, d_max, points):
+        out = tmp_path / f"{points}.csv"
+        argv = [eid, "--profile", "fast", "--out", str(out), "--key", f"d_min={d_min}",
+                "--key", f"d_max={d_max}", "--key", f"points={points}"]
+        assert cli.main(argv) == 0
+        return [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
+
+    @pytest.mark.parametrize("eid, d_min, d_max", [
+        ("gg02-kgr", 10, 200),
+        ("qam-kgr", 20, 60),
+        ("nla-kgr", 100, 300),
+        ("multispan-unconditional", 40, 120),
+    ])
+    def test_first_row_equals_one_point_run(self, eid, d_min, d_max, tmp_path):
+        two = self._first_row(tmp_path, eid, d_min, d_max, 2)
+        assert two == self._first_row(tmp_path, eid, d_min, d_min, 1)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cvq import amplifiers as amp
 from cvq import gaussian as gs
 from cvq import kor, mary, qkd
 from cvq.numerics import PrecisionWarning, simpson_weights
@@ -28,6 +29,45 @@ FRAME_CASES = {
 }
 
 
+# every KgrResult-returning rate, searched and pinned, as a function of beta
+BETA_RATES = {
+    "gg02": lambda b: qkd.gg02_kgr(FRAME_CH, b),
+    "gg02-pinned": lambda b: qkd.gg02_kgr(FRAME_CH, b, v=5.0),
+    "psk": lambda b: qkd.psk_kgr(4, FRAME_CH, b),
+    "qam-uniform": lambda b: qkd.qam_kgr(4, FRAME_CH, b, "uniform"),
+    "qam-MB": lambda b: qkd.qam_kgr(4, FRAME_CH, b),
+    "qam-MB-pinned": lambda b: qkd.qam_kgr(4, FRAME_CH, b, nbar=1.0, xi=0.5),
+    "trusted": lambda b: qkd.trusted_qpsk_kgr(FRAME_CH, b, qkd.TrustScenario("tL;tN")),
+    "wiretap": lambda b: qkd.wiretap_qpsk_kgr(FRAME_CH, b, n_nodes=41),
+    "dh": lambda b: kor.dh_rate(FRAME_CH.T, b, n_nodes=41),
+    "qdffre": lambda b: kor.qdffre_rate(FRAME_CH.T, b, 8),
+    "pgm": lambda b: kor.optimize_kor(FRAME_CH.T, b, mode="PGM"),
+    "kor": lambda b: kor.optimize_kor(FRAME_CH.T, b, lattice=4),
+    "nla": lambda b: amp.nla_kgr("QS", FRAME_CH, b),
+    "nla-pinned-gain": lambda b: amp.nla_kgr("ideal", FRAME_CH, b, gain=1.5),
+    "multispan-unconditional": lambda b: amp.multispan_kgr_unconditional(
+        amp.SpanLink(3, 60.0, 0.05, kind="psa"), b),
+    "multispan-conditional": lambda b: amp.multispan_kgr_conditional(
+        amp.SpanLink(3, 60.0, 0.05, kind="pia"), b, 2),
+    "multispan-pinned-gain": lambda b: amp.multispan_kgr_conditional(
+        amp.SpanLink(3, 60.0, 0.05, kind="pia"), b, 2, gain=1.0),
+}
+NLA_CH = qkd.ChannelParams.from_distance(150.0, 0.03)
+# the other searched rates: reported knob -> keyword that pins it
+FRAME_KNOB_CASES = {
+    "qam-uniform": ({"nbar": "nbar"},
+                    lambda **kw: qkd.qam_kgr(4, FRAME_CH, BETA, "uniform", **kw)),
+    "nla-ideal": ({"V": "v", "g": "gain"}, lambda **kw: amp.nla_kgr("ideal", NLA_CH, BETA, **kw)),
+    "nla-QS": ({"V": "v", "g": "gain"}, lambda **kw: amp.nla_kgr("QS", NLA_CH, BETA, **kw)),
+    "nla-SPC": ({"V": "v", "g": "gain"}, lambda **kw: amp.nla_kgr("SPC", NLA_CH, BETA, **kw)),
+    "multispan-unconditional": ({"V": "v", "G": "gain"}, lambda **kw: (
+        amp.multispan_kgr_unconditional(amp.SpanLink(5, 60.0, 0.05, kind="psa"), BETA, "IIb",
+                                        **kw))),
+    "multispan-conditional": ({"V": "v", "G": "gain"}, lambda **kw: (
+        amp.multispan_kgr_conditional(amp.SpanLink(3, 60.0, 0.05, kind="pia"), BETA, 2, **kw))),
+}
+
+
 class TestRateFrame:
     @pytest.mark.parametrize("case", list(FRAME_CASES))
     def test_pinned_knob_reproduces_search(self, case):
@@ -36,6 +76,44 @@ class TestRateFrame:
         again = rate(r.params[name])
         assert (again.K, again.I_AB, again.chi_BE) == (r.K, r.I_AB, r.chi_BE)
         assert r.check_decomposition(0.0)
+
+    @pytest.mark.parametrize("case", list(FRAME_KNOB_CASES))
+    def test_pinned_knobs_reproduce_search(self, case):
+        knobs, rate = FRAME_KNOB_CASES[case]
+        r = rate()
+        again = rate(**{kw: r.params[name] for name, kw in knobs.items()})
+        parts = ("K", "I_AB", "chi_BE", "p_success")
+        assert [getattr(again, p) for p in parts] == [getattr(r, p) for p in parts]
+        assert r.check_decomposition(0.0)
+
+    def test_mb_qam_pin_recovers_spacing_by_bisection(self):
+        # the public MB pin is (nbar, xi); the spacing comes back from
+        # _qam_delta's bisection (tol 1e-12), so the pinned K agrees with
+        # the searched one to rounding, not bit for bit
+        r = qkd.qam_kgr(4, FRAME_CH, BETA)
+        again = qkd.qam_kgr(4, FRAME_CH, BETA, nbar=r.params["nbar"], xi=r.params["xi"])
+        assert abs(again.params["delta"] / r.params["delta"] - 1.0) < 1e-11
+        assert abs(again.K - r.K) < 1e-11
+        assert r.check_decomposition(0.0) and again.check_decomposition(0.0)
+
+    def test_kor_mode_is_kor_rate_at_its_knobs(self):
+        r = kor.optimize_kor(FRAME_CH.T, BETA, mode="KOR", lattice=8)
+        ref = kor.kor_rate(r.params["alpha2"], r.params["phases"], FRAME_CH.T, BETA)
+        assert (r.K, r.I_AB, r.chi_BE) == (ref["K"], ref["I_AB"], ref["chi_BE"])
+        assert r.check_decomposition(0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rate", list(BETA_RATES))
+    def test_beta_outside_unit_interval_raises_before_evaluation(self, rate, beta,
+                                                                  monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("an objective was evaluated before beta was checked")
+
+        # every objective reaches one of these two entropy kernels
+        monkeypatch.setattr(gs, "entropy_cm", evaluated)
+        monkeypatch.setattr(qkd, "_entropy_batch", evaluated)
+        with pytest.raises(ValueError, match="beta"):
+            BETA_RATES[rate](beta)
 
     def test_pgm_mode_is_the_zero_phase_receiver(self):
         r = kor.optimize_kor(FRAME_CH.T, BETA, mode="PGM")

@@ -290,7 +290,7 @@ class TestGridValuesEqualScalarCalls:
             qkd.trusted_qpsk_kgr(CH, 0.95, qkd.TrustScenario(tag, eta=0.7, eps_d=0.01))
 
     def test_multispan(self, monkeypatch):
-        monkeypatch.setattr(amp, "minimize_bounded", _checked(numerics.minimize_bounded, 1))
+        monkeypatch.setattr(qkd, "minimize_bounded", _checked(numerics.minimize_bounded, 1))
         amp.multispan_kgr_unconditional(amp.SpanLink(5, 60.0, 0.05, kind="psa"), 0.95, "IIb")
         amp.multispan_kgr_conditional(amp.SpanLink(3, 60.0, 0.05, kind="pia"), 0.95, 2)
 
@@ -311,7 +311,9 @@ def _counting(monkeypatch, module, name):
 # Points each rate objective evaluates (grid points count one each).  The
 # gg02 and trusted counts date from before the seeding grids became one
 # call; the multi-span counts are those of one seeding grid and one
-# Nelder-Mead polish.
+# Nelder-Mead polish.  The QAM and NLA counts date from before those
+# rates moved onto the rate frame (qkd._rate_result); NLA's parts call
+# the name bound in amplifiers.
 EVALUATION_COUNTS = [
     ("gg02", qkd, "holevo_from_cm", 76,
      lambda: qkd.gg02_kgr(qkd.ChannelParams.from_distance(50.0, 0.01), 0.95)),
@@ -324,6 +326,15 @@ EVALUATION_COUNTS = [
     ("unconditional", gs, "gaussian_mutual_information", 409,
      lambda: amp.multispan_kgr_unconditional(amp.SpanLink(5, 60.0, 0.05, kind="psa"),
                                              0.95, "IIb")),
+    ("qam-uniform", qkd, "holevo_from_cm", 44,
+     lambda: qkd.qam_kgr(8, qkd.ChannelParams.from_distance(50.0, 0.01), 0.95, "uniform")),
+    ("qam-MB", qkd, "holevo_from_cm", 518,
+     lambda: qkd.qam_kgr(4, qkd.ChannelParams.from_distance(50.0, 0.01), 0.95)),
+    ("nla-QS", amp, "holevo_from_cm", 378,
+     lambda: amp.nla_kgr("QS", qkd.ChannelParams.from_distance(300.0, 0.03), 0.95)),
+    ("nla-ideal-pinned-gain", amp, "holevo_from_cm", 77,
+     lambda: amp.nla_kgr("ideal", qkd.ChannelParams.from_distance(280.0, 0.03), 0.95,
+                         gain=2.0)),
 ]
 
 
